@@ -54,6 +54,7 @@ from .model import (
     max_resonant_power,
     natural_frequency,
     optimal_load,
+    total_damping,
 )
 from .sim import (
     SimConfig,

@@ -152,10 +152,12 @@ class DeviceRecord:
             "resonant_frequency_hz",
             "measured_at_acceleration_m_s2",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.measured_power_w < 0.0:
-            raise ValueError(f"measured_power_w must be >= 0, got {self.measured_power_w}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.measured_power_w < math.inf:
+            raise ValueError(
+                f"measured_power_w must be finite and >= 0, got {self.measured_power_w}"
+            )
 
 
 @dataclass(frozen=True)

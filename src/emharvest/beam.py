@@ -36,12 +36,9 @@ class MaterialProps:
     density_kg_m3: float
 
     def __post_init__(self) -> None:
-        if not self.youngs_modulus_pa > 0.0:
-            raise ValueError(
-                f"youngs_modulus_pa must be > 0, got {self.youngs_modulus_pa}"
-            )
-        if not self.density_kg_m3 > 0.0:
-            raise ValueError(f"density_kg_m3 must be > 0, got {self.density_kg_m3}")
+        for name in ("youngs_modulus_pa", "density_kg_m3"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             w = 2.0 * math.pi * f_hz
             e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
             rp = evaluate_response(g, c, e)
-            emf_rms = c.coupling_v_s_per_m * rp.z_amplitude_m * w / math.sqrt(2.0)
             rows.append(
                 ",".join(
-                    _num(v) for v in (f_hz, rp.z_amplitude_m, emf_rms, rp.p_load_w)
+                    _num(v) for v in (f_hz, rp.z_amplitude_m, rp.emf_rms_v, rp.p_load_w)
                 )
             )
     else:
@@ -138,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace = None
     lines = [
         f"scenario                : {scn.name}",
-        f"steps                   : {int(round(cfg.duration_s / cfg.dt_s))}",
+        f"steps                   : {cfg.n_steps}",
         f"dt s                    : {_num(cfg.dt_s)}",
         f"duration s              : {_num(cfg.duration_s)}",
         f"relative amplitude m    : {_num(summary.z_amp_m)}",

@@ -54,6 +54,8 @@ class SweepRange:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got {self.start}, {self.stop}")
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.points == 1:
@@ -98,12 +100,12 @@ class Scenario:
     sim: SimConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.accel_m_s2 < 0.0:
-            raise ValueError(f"accel_m_s2 must be >= 0, got {self.accel_m_s2}")
+        if not 0.0 <= self.accel_m_s2 < math.inf:
+            raise ValueError(f"accel_m_s2 must be finite and >= 0, got {self.accel_m_s2}")
         if self.accel_tag not in ("peak", "rms"):
             raise ValueError(f"accel_tag must be peak|rms, got {self.accel_tag!r}")
-        if not self.freq_hz > 0.0:
-            raise ValueError(f"freq_hz must be > 0, got {self.freq_hz}")
+        if not 0.0 < self.freq_hz < math.inf:
+            raise ValueError(f"freq_hz must be finite and > 0, got {self.freq_hz}")
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,7 @@ class _Section:
 
     def get_str(self, key: str, default=_MISSING) -> str | None:
         val = self._fetch(key, default)
-        if val is None:
-            return default if default is not _MISSING else None
-        return val.strip()
+        return default if val is None else val.strip()
 
     def get_float(self, key: str, default=_MISSING) -> float | None:
         val = self._fetch(key, default)

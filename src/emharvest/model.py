@@ -28,6 +28,7 @@ __all__ = [
     "max_resonant_power",
     "load_power",
     "em_damping_coefficient",
+    "total_damping",
     "damping_ratio_from_coefficient",
     "damping_coefficient_from_ratio",
     "optimal_load",
@@ -58,19 +59,17 @@ class GeneratorParams:
     displacement_limit_m: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.mass_kg > 0.0:
-            raise ValueError(f"mass_kg must be > 0, got {self.mass_kg}")
-        if not self.stiffness_n_per_m > 0.0:
-            raise ValueError(
-                f"stiffness_n_per_m must be > 0, got {self.stiffness_n_per_m}"
-            )
+        for name in ("mass_kg", "stiffness_n_per_m"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.zeta_parasitic < 1.0:
             raise ValueError(
                 f"zeta_parasitic must be in [0, 1), got {self.zeta_parasitic}"
             )
-        if self.displacement_limit_m is not None and not self.displacement_limit_m > 0.0:
+        limit = self.displacement_limit_m
+        if limit is not None and not 0.0 < limit < math.inf:
             raise ValueError(
-                f"displacement_limit_m must be > 0 when set, got {self.displacement_limit_m}"
+                f"displacement_limit_m must be finite and > 0 when set, got {limit}"
             )
 
 
@@ -96,14 +95,11 @@ class CoilCircuit:
     def __post_init__(self) -> None:
         if not isinstance(self.turns, int) or self.turns < 0:
             raise ValueError(f"turns must be a non-negative integer, got {self.turns!r}")
-        if self.side_length_m < 0.0:
-            raise ValueError(f"side_length_m must be >= 0, got {self.side_length_m}")
-        if self.flux_density_t < 0.0:
-            raise ValueError(f"flux_density_t must be >= 0, got {self.flux_density_t}")
-        if self.r_coil_ohm < 0.0:
-            raise ValueError(f"r_coil_ohm must be >= 0, got {self.r_coil_ohm}")
-        if self.l_coil_h < 0.0:
-            raise ValueError(f"l_coil_h must be >= 0, got {self.l_coil_h}")
+        for name in ("side_length_m", "flux_density_t", "r_coil_ohm", "l_coil_h"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
         if not self.r_load_ohm > 0.0:
             raise ValueError(f"r_load_ohm must be > 0, got {self.r_load_ohm}")
 
@@ -124,11 +120,11 @@ class Excitation:
     omega_rad_per_s: float
 
     def __post_init__(self) -> None:
-        if self.amplitude_m < 0.0:
-            raise ValueError(f"amplitude_m must be >= 0, got {self.amplitude_m}")
-        if not self.omega_rad_per_s > 0.0:
+        if not 0.0 <= self.amplitude_m < math.inf:
+            raise ValueError(f"amplitude_m must be finite and >= 0, got {self.amplitude_m}")
+        if not 0.0 < self.omega_rad_per_s < math.inf:
             raise ValueError(
-                f"omega_rad_per_s must be > 0, got {self.omega_rad_per_s}"
+                f"omega_rad_per_s must be finite and > 0, got {self.omega_rad_per_s}"
             )
 
     @property
@@ -148,13 +144,12 @@ class Excitation:
         """
         if convention not in _CONVENTIONS:
             raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-        if accel_m_s2 < 0.0:
-            raise ValueError(f"accel_m_s2 must be >= 0, got {accel_m_s2}")
+        if not 0.0 <= accel_m_s2 < math.inf:
+            raise ValueError(f"accel_m_s2 must be finite and >= 0, got {accel_m_s2}")
+        if not omega_rad_per_s > 0.0:
+            raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
         peak = accel_m_s2 * math.sqrt(2.0) if convention == "rms" else accel_m_s2
-        return cls(
-            amplitude_m=peak / omega_rad_per_s**2 if omega_rad_per_s > 0 else 0.0,
-            omega_rad_per_s=omega_rad_per_s,
-        )
+        return cls(amplitude_m=peak / omega_rad_per_s**2, omega_rad_per_s=omega_rad_per_s)
 
 
 @dataclass(frozen=True)
@@ -167,6 +162,7 @@ class ResponsePoint:
     p_load_w             average power delivered to the external load
     p_total_electrical_w average power in load plus coil resistance
     v_load_rms_v         RMS voltage across the load
+    emf_rms_v            RMS EMF induced in the coil
     """
 
     z_amplitude_m: float
@@ -175,10 +171,11 @@ class ResponsePoint:
     p_load_w: float
     p_total_electrical_w: float
     v_load_rms_v: float
+    emf_rms_v: float
 
     def __post_init__(self) -> None:
         for name in ("z_amplitude_m", "p_dissipated_w", "p_load_w",
-                     "p_total_electrical_w", "v_load_rms_v"):
+                     "p_total_electrical_w", "v_load_rms_v", "emf_rms_v"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.phase_rad <= math.pi:
@@ -321,6 +318,11 @@ def load_power(
     )
 
 
+def _impedance_magnitude(c: CoilCircuit, omega_rad_per_s: float) -> float:
+    """|R_load + R_coil + j w L_coil|, ohms; > 0 by CoilCircuit's invariants."""
+    return math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
+
+
 def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     """Viscous damping produced by the coil circuit, N*s/m.
 
@@ -328,11 +330,19 @@ def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     R_load + R_coil + j w L_coil.  With zero inductance this is the plain
     resistive expression; an infinite load resistance gives 0 (open circuit).
     """
-    mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
-    if mag == 0.0:
-        raise ValueError("total circuit impedance must be nonzero")
     coupling = c.coupling_v_s_per_m
-    return coupling * coupling / mag
+    return coupling * coupling / _impedance_magnitude(c, omega_rad_per_s)
+
+
+def total_damping(
+    g: GeneratorParams, c: CoilCircuit, omega_rad_per_s: float
+) -> tuple[float, float, float]:
+    """Parasitic and electrical viscous coefficients c_p, c_e (N*s/m) and the
+    total damping ratio (c_p + c_e) / (2 m w_n) at one drive frequency."""
+    c_crit = 2.0 * g.mass_kg * natural_frequency(g)
+    c_p = c_crit * g.zeta_parasitic
+    c_e = em_damping_coefficient(c, omega_rad_per_s)
+    return c_p, c_e, (c_p + c_e) / c_crit
 
 
 def damping_ratio_from_coefficient(c_damp: float, g: GeneratorParams) -> float:
@@ -436,16 +446,12 @@ def compose_q_factors(
     )
 
 
-def base_amplitude_from_acceleration(
-    accel_m_s2: float, omega_rad_per_s: float, convention: str = "peak"
-) -> float:
+def base_amplitude_from_acceleration(accel_m_s2: float, omega_rad_per_s: float) -> float:
     """Base displacement amplitude A / w^2 for an acceleration amplitude A.
 
     The conversion is linear, so the amplitude keeps the convention of the
     input (peak in, peak out; RMS in, RMS out).
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     if not omega_rad_per_s > 0.0:
         raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
     return accel_m_s2 / omega_rad_per_s**2
@@ -481,10 +487,7 @@ def evaluate_response(
     for l_coil_h = 0.
     """
     w = e.omega_rad_per_s
-    wn = natural_frequency(g)
-    c_e = em_damping_coefficient(c, w)
-    zeta_e = c_e / (2.0 * g.mass_kg * wn)
-    zeta_t = g.zeta_parasitic + zeta_e
+    _, _, zeta_t = total_damping(g, c, w)
     amp, phase = displacement_response(g, zeta_t, e)
     if zeta_t > 0.0:
         p_diss = dissipated_power(g, zeta_t, e)
@@ -497,8 +500,7 @@ def evaluate_response(
         p_total_e = 0.0
         v_load = emf_rms  # no current, full EMF appears across the load
     else:
-        z_mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, w * c.l_coil_h)
-        i_rms = emf_rms / z_mag if z_mag > 0.0 else 0.0
+        i_rms = emf_rms / _impedance_magnitude(c, w)
         p_load = i_rms * i_rms * c.r_load_ohm
         p_total_e = i_rms * i_rms * (c.r_load_ohm + c.r_coil_ohm)
         v_load = i_rms * c.r_load_ohm
@@ -509,4 +511,5 @@ def evaluate_response(
         p_load_w=p_load,
         p_total_electrical_w=p_total_e,
         v_load_rms_v=v_load,
+        emf_rms_v=emf_rms,
     )

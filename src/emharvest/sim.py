@@ -9,9 +9,9 @@ fourth-order Runge-Kutta scheme with a fixed step, started from rest, so
 traces are exactly reproducible.  Steady-state numbers are taken from the
 tail of the trace after the start-up transient has died away.
 
-This module shares only the damping-coefficient conversion with
-:mod:`emharvest.model`; the response itself is computed numerically so the
-two routes can be used to check each other.
+Both routes take their damping from :func:`emharvest.model.total_damping`;
+only the response itself is computed independently, numerically, so the two
+routes can be used to check each other.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
+from .analysis import _parabola_vertex
 from .model import (
     CoilCircuit,
     Excitation,
     GeneratorParams,
-    em_damping_coefficient,
     natural_frequency,
+    total_damping,
 )
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "frequency_sweep_sim",
 ]
 
-# resolution floor for the drive period; coarser steps are rejected
+# resolution floor for the faster of the drive and natural periods
 _MIN_STEPS_PER_PERIOD = 50
 
 _ENERGY_RESIDUAL_LIMIT = 1e-3
@@ -76,15 +77,20 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.dt_s > 0.0:
             raise ValueError(f"dt_s must be > 0, got {self.dt_s}")
-        if not self.duration_s > 10.0 * self.dt_s:
+        if not 10.0 * self.dt_s < self.duration_s < math.inf:
             raise ValueError(
-                f"duration_s must exceed 10*dt_s; got duration_s={self.duration_s} "
-                f"with dt_s={self.dt_s}"
+                f"duration_s must be finite and exceed 10*dt_s; got "
+                f"duration_s={self.duration_s} with dt_s={self.dt_s}"
             )
         if not 0.0 <= self.settle_fraction < 1.0:
             raise ValueError(
                 f"settle_fraction must be in [0, 1), got {self.settle_fraction}"
             )
+
+    @property
+    def n_steps(self) -> int:
+        """Number of fixed steps covering duration_s."""
+        return int(round(self.duration_s / self.dt_s))
 
     @classmethod
     def suggest(
@@ -109,10 +115,7 @@ class SimConfig:
         if not omega_rad_per_s > 0.0:
             raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
         wn = natural_frequency(g)
-        zeta_t = g.zeta_parasitic
-        if c is not None:
-            c_e = em_damping_coefficient(c, omega_rad_per_s)
-            zeta_t += c_e / (2.0 * g.mass_kg * wn)
+        zeta_t = g.zeta_parasitic if c is None else total_damping(g, c, omega_rad_per_s)[2]
         if not zeta_t > 0.0:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
         dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / steps_per_period
@@ -172,13 +175,9 @@ def _refined_peaks(zw: np.ndarray) -> list[float]:
         )
         + 1
     )
-    peaks: list[float] = []
-    for i in idx:
-        y0, y1, y2 = zw[i - 1], zw[i], zw[i + 1]
-        a = 0.5 * (y0 + y2) - y1
-        b = 0.5 * (y2 - y0)
-        peaks.append(float(y1 - b * b / (4.0 * a)) if a < 0.0 else float(y1))
-    return peaks
+    return [
+        float(_parabola_vertex(-1.0, zw[i - 1], 0.0, zw[i], 1.0, zw[i + 1])[1]) for i in idx
+    ]
 
 
 def _fit_phase(tw: np.ndarray, zw: np.ndarray, w: float) -> float:
@@ -215,16 +214,14 @@ def simulate(
     SimulationNotSettled instead of returning a misleading summary.
     """
     w = e.omega_rad_per_s
-    period = 2.0 * math.pi / w
+    wn = natural_frequency(g)
+    period = 2.0 * math.pi / max(w, wn)
     if cfg.dt_s > period / _MIN_STEPS_PER_PERIOD:
         raise ValueError(
-            f"dt_s={cfg.dt_s} resolves the {period} s drive period with fewer "
-            f"than {_MIN_STEPS_PER_PERIOD} steps"
+            f"dt_s={cfg.dt_s} resolves the {period} s period (the faster of the "
+            f"drive and natural periods) with fewer than {_MIN_STEPS_PER_PERIOD} steps"
         )
-    wn = natural_frequency(g)
-    c_e = em_damping_coefficient(c, w)
-    c_p = 2.0 * g.mass_kg * wn * g.zeta_parasitic
-    zeta_t = (c_p + c_e) / (2.0 * g.mass_kg * wn)
+    c_p, c_e, zeta_t = total_damping(g, c, w)
     if not 0.0 < zeta_t < 1.0:
         raise ValueError(f"total damping ratio must be in (0, 1), got {zeta_t}")
     q_t = 1.0 / (2.0 * zeta_t)
@@ -235,7 +232,7 @@ def simulate(
             stacklevel=2,
         )
 
-    n_steps = int(round(cfg.duration_s / cfg.dt_s))
+    n_steps = cfg.n_steps
     dt = cfg.dt_s
     t = np.arange(n_steps + 1) * dt
 
@@ -292,7 +289,7 @@ def simulate(
             "increase duration_s or lower settle_fraction"
         )
     drift = abs(peaks[-1] - peaks[-2]) / abs(peaks[-1])
-    if drift > 0.01:
+    if not drift <= 0.01:
         raise SimulationNotSettled(
             f"amplitude still drifting {drift:.2%} per period at end of run; "
             f"increase duration_s"
@@ -323,7 +320,7 @@ def simulate(
     )
     scale = max(abs(w_in), w_par + w_el + abs(e_mech))
     residual = abs(w_in - w_par - w_el - e_mech) / scale if scale > 0.0 else 0.0
-    if residual >= _ENERGY_RESIDUAL_LIMIT:
+    if not residual < _ENERGY_RESIDUAL_LIMIT:
         raise ValueError(
             f"energy balance residual {residual:.2e} exceeds "
             f"{_ENERGY_RESIDUAL_LIMIT}; reduce dt_s"

@@ -402,6 +402,10 @@ class TestDeviceRecord:
             ("resonant_frequency_hz", 0.0),
             ("measured_power_w", -1e-9),
             ("measured_at_acceleration_m_s2", 0.0),
+            ("volume_mm3", math.inf),
+            ("resonant_frequency_hz", math.nan),
+            ("measured_power_w", math.nan),
+            ("measured_power_w", math.inf),
         ],
     )
     def test_rejects_bad_fields(self, field, value):

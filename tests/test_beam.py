@@ -28,6 +28,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             MaterialProps(**kwargs)
 
+    @pytest.mark.parametrize("field", ["youngs_modulus_pa", "density_kg_m3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_material_rejects_non_finite(self, field, value):
+        kwargs = dict(name="x", youngs_modulus_pa=1e9, density_kg_m3=1000.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            MaterialProps(**kwargs)
+
     @pytest.mark.parametrize(
         "field", ["length_m", "width_m", "thickness_m", "tip_mass_kg"]
     )

@@ -190,6 +190,8 @@ class TestSweepRange:
             dict(start=1.0, stop=2.0, points=1),
             dict(start=0.0, stop=10.0, points=5, scale="log"),
             dict(start=1.0, stop=10.0, points=5, scale="cubic"),
+            dict(start=-math.inf, stop=10.0, points=5),
+            dict(start=1.0, stop=math.inf, points=5, scale="log"),
         ],
     )
     def test_rejects_degenerate_ranges(self, kwargs):

@@ -23,6 +23,7 @@ from emharvest.model import (
     max_resonant_power,
     natural_frequency,
     optimal_load,
+    total_damping,
 )
 
 
@@ -54,6 +55,16 @@ class TestGeneratorParams:
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
+            GeneratorParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["mass_kg", "stiffness_n_per_m", "zeta_parasitic",
+                                       "displacement_limit_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(mass_kg=1.0, stiffness_n_per_m=1.0, zeta_parasitic=0.0,
+                      displacement_limit_m=1e-3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
             GeneratorParams(**kwargs)
 
     def test_limit_optional(self):
@@ -223,6 +234,22 @@ class TestLoadPower:
         g = make_gen(wn=100.0)
         with pytest.raises(ValueError):
             load_power(g, 0.0, 0.0, Excitation(1e-6, 100.0))
+
+
+class TestCoilCircuit:
+    # r_load_ohm = inf stays allowed: it is the open circuit
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("side_length_m", "flux_density_t", "r_coil_ohm", "l_coil_h")
+         for v in (math.nan, math.inf, -math.inf)]
+        + [("r_load_ohm", math.nan), ("r_load_ohm", -math.inf)],
+    )
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(turns=1, side_length_m=1e-3, flux_density_t=0.5,
+                      r_coil_ohm=1.0, l_coil_h=0.0, r_load_ohm=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CoilCircuit(**kwargs)
 
 
 class TestEmDampingCoefficient:
@@ -431,6 +458,21 @@ class TestExcitation:
         with pytest.raises(ValueError):
             Excitation(-1e-6, 100.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1e-6, math.nan), (1e-6, math.inf)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            Excitation(*args)
+
+    @pytest.mark.parametrize("accel", [math.nan, math.inf])
+    def test_non_finite_acceleration_rejected(self, accel):
+        with pytest.raises(ValueError, match="accel_m_s2"):
+            Excitation.from_acceleration(accel, 100.0)
+
+    def test_zero_frequency_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="omega_rad_per_s must be > 0"):
+            Excitation.from_acceleration(3.0, 0.0)
+
 
 class TestLoadVoltage:
     def test_measured_point(self):
@@ -469,15 +511,15 @@ class TestDisplacementLimit:
 class TestResponsePoint:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
-            ResponsePoint(1e-6, 1.0, -1e-9, 0.0, 0.0, 0.0)
+            ResponsePoint(1e-6, 1.0, -1e-9, 0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_load_above_total(self):
         with pytest.raises(ValueError):
-            ResponsePoint(1e-6, 1.0, 1e-9, 2e-9, 1e-9, 0.0)
+            ResponsePoint(1e-6, 1.0, 1e-9, 2e-9, 1e-9, 0.0, 0.0)
 
     def test_rejects_phase_out_of_range(self):
         with pytest.raises(ValueError):
-            ResponsePoint(1e-6, 3.5, 0.0, 0.0, 0.0, 0.0)
+            ResponsePoint(1e-6, 3.5, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestDampingDecompositionType:
@@ -527,6 +569,24 @@ class TestEvaluateResponse:
             c.coupling_v_s_per_m * rp.z_amplitude_m * e.omega_rad_per_s / math.sqrt(2.0)
         )
         assert rp.v_load_rms_v == pytest.approx(expected_emf, rel=1e-12)
+
+    @pytest.mark.parametrize("r_load", [100.0, math.inf])
+    def test_emf_is_coupling_times_velocity(self, r_load):
+        g, c, e = self._setup(r_load)
+        w = 0.99 * e.omega_rad_per_s
+        rp = evaluate_response(g, c, Excitation(e.amplitude_m, w))
+        assert rp.emf_rms_v == pytest.approx(
+            c.coupling_v_s_per_m * rp.z_amplitude_m * w / math.sqrt(2.0), rel=1e-12
+        )
+
+    def test_total_damping_splits_parasitic_and_electrical(self):
+        g, c, e = self._setup(100.0)
+        c_p, c_e, zeta_t = total_damping(g, c, e.omega_rad_per_s)
+        assert c_p == damping_coefficient_from_ratio(g.zeta_parasitic, g)
+        assert c_e == em_damping_coefficient(c, e.omega_rad_per_s)
+        assert zeta_t == pytest.approx(
+            g.zeta_parasitic + damping_ratio_from_coefficient(c_e, g), rel=1e-14
+        )
 
     def test_zero_base_amplitude_gives_zero_block(self):
         g, c, _ = self._setup(100.0)

@@ -44,6 +44,7 @@ class TestSimConfig:
             dict(dt_s=0.0, duration_s=1.0),
             dict(dt_s=-1e-4, duration_s=1.0),
             dict(dt_s=1e-2, duration_s=1e-2),
+            dict(dt_s=1e-4, duration_s=math.inf),
             dict(dt_s=1e-4, duration_s=1.0, settle_fraction=1.0),
             dict(dt_s=1e-4, duration_s=1.0, settle_fraction=-0.1),
         ],
@@ -155,6 +156,16 @@ class TestSimulate:
         period = 2.0 * math.pi / w
         with pytest.raises(ValueError, match="steps"):
             simulate(g, dead_coil(), Excitation(1e-6, w), SimConfig(period / 40.0, 1.0))
+
+    def test_step_too_coarse_for_natural_period_rejected(self):
+        # 60 steps per drive period is fine for the drive, but at w = w_n / 100
+        # it puts h * w_n far beyond the RK4 stability bound of 2 * sqrt(2)
+        g = make_gen()
+        w = natural_frequency(g) / 100.0
+        period = 2.0 * math.pi / w
+        cfg = SimConfig(period / 60.0, 5.0 * period)
+        with pytest.raises(ValueError, match="natural"):
+            simulate(g, dead_coil(), Excitation(1e-6, w), cfg)
 
     def test_undamped_rejected(self):
         g = make_gen(zeta_p=0.0)
