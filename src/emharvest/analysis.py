@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from .model import DampingDecomposition, compose_q_factors
+from .model import _CONVENTIONS, DampingDecomposition, _check_magnitudes, compose_q_factors
 
 __all__ = [
     "SweepCurve",
@@ -54,12 +55,15 @@ class SweepCurve:
             raise ValueError(f"need at least 5 sweep points, got {len(self.freqs_hz)}")
         if any(b <= a for a, b in zip(self.freqs_hz, self.freqs_hz[1:])):
             raise ValueError("freqs_hz must be strictly increasing")
-        if any(m < 0.0 for m in self.magnitudes):
-            raise ValueError("magnitudes must be >= 0")
-        if not self.excitation_acceleration_m_s2 > 0.0:
-            raise ValueError("excitation_acceleration_m_s2 must be > 0")
-        if self.acceleration_tag not in ("peak", "rms"):
-            raise ValueError(f"acceleration_tag must be peak|rms, got {self.acceleration_tag!r}")
+        _check_magnitudes(
+            (("excitation_acceleration_m_s2", self.excitation_acceleration_m_s2),),
+            zip(repeat("freqs_hz"), self.freqs_hz),
+        )
+        _check_magnitudes(nonnegative=zip(repeat("magnitudes"), self.magnitudes))
+        if self.acceleration_tag not in _CONVENTIONS:
+            raise ValueError(
+                f"acceleration_tag must be in {_CONVENTIONS}, got {self.acceleration_tag!r}"
+            )
 
     @classmethod
     def from_csv(
@@ -103,13 +107,12 @@ class LoadSweep:
         n = len(self.r_load_ohm)
         if len(self.p_load_w) != n or len(self.p_total_w) != n:
             raise ValueError("all three columns must have equal length")
-        if any(r <= 0.0 for r in self.r_load_ohm):
-            raise ValueError("r_load_ohm values must be > 0")
+        _check_magnitudes(zip(repeat("r_load_ohm"), self.r_load_ohm))
         if any(b <= a for a, b in zip(self.r_load_ohm, self.r_load_ohm[1:])):
             raise ValueError("r_load_ohm must be strictly increasing")
+        _check_magnitudes(nonnegative=zip(repeat("p_load_w"), self.p_load_w))
+        _check_magnitudes(nonnegative=zip(repeat("p_total_w"), self.p_total_w))
         for pl, pt in zip(self.p_load_w, self.p_total_w):
-            if pl < 0.0 or pt < 0.0:
-                raise ValueError("powers must be >= 0")
             if pl > pt * (1.0 + 1e-12):
                 raise ValueError(f"p_load_w {pl} exceeds p_total_w {pt}")
 
@@ -146,18 +149,17 @@ class DeviceRecord:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        for name in (
-            "volume_mm3",
-            "active_mass_kg",
-            "resonant_frequency_hz",
-            "measured_at_acceleration_m_s2",
-        ):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.measured_power_w < math.inf:
-            raise ValueError(
-                f"measured_power_w must be finite and >= 0, got {self.measured_power_w}"
-            )
+        positive = [
+            ("volume_mm3", self.volume_mm3), ("active_mass_kg", self.active_mass_kg),
+            ("resonant_frequency_hz", self.resonant_frequency_hz),
+            ("measured_at_acceleration_m_s2", self.measured_at_acceleration_m_s2),
+        ]
+        nonnegative = [("measured_power_w", self.measured_power_w)]
+        if self.flux_density_t is not None:
+            positive.append(("flux_density_t", self.flux_density_t))
+        if self.r_coil_ohm is not None:
+            nonnegative.append(("r_coil_ohm", self.r_coil_ohm))
+        _check_magnitudes(positive, nonnegative)
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,12 @@ class CatalogRow:
     raw_power_w: float
     normalized_power_w: float
     power_density_nw_mm3: float
+
+    def __post_init__(self) -> None:
+        _check_magnitudes(nonnegative=(
+            ("normalized_power_w", self.normalized_power_w),
+            ("power_density_nw_mm3", self.power_density_nw_mm3),
+        ))
 
 
 def _parabola_vertex(
@@ -260,8 +268,7 @@ def decompose_damping(q_loaded: float, q_open: float) -> DampingDecomposition:
     two; q_open must exceed q_loaded or the electrical damping would come
     out negative.
     """
-    if not q_loaded > 0.0:
-        raise ValueError(f"q_loaded must be > 0, got {q_loaded}")
+    _check_magnitudes((("q_loaded", q_loaded), ("q_open", q_open)))
     if not q_open > q_loaded:
         raise ValueError(
             f"q_open ({q_open}) must exceed q_loaded ({q_loaded}); "
@@ -272,10 +279,7 @@ def decompose_damping(q_loaded: float, q_open: float) -> DampingDecomposition:
 
 def estimate_mass_displacement(q_loaded: float, y_base_m: float) -> float:
     """Resonant proof-mass amplitude Q*Y from base amplitude Y."""
-    if not q_loaded > 0.0:
-        raise ValueError(f"q_loaded must be > 0, got {q_loaded}")
-    if y_base_m < 0.0:
-        raise ValueError(f"y_base_m must be >= 0, got {y_base_m}")
+    _check_magnitudes((("q_loaded", q_loaded),), (("y_base_m", y_base_m),))
     return q_loaded * y_base_m
 
 
@@ -303,12 +307,10 @@ def normalize_power(p_w: float, a_measured_m_s2: float, a_target_m_s2: float) ->
     At fixed frequency the resonant power of the lumped model grows with
     acceleration squared, so the rescaling is (a_target / a_measured)^2.
     """
-    if not a_measured_m_s2 > 0.0:
-        raise ValueError(f"a_measured_m_s2 must be > 0, got {a_measured_m_s2}")
-    if not a_target_m_s2 > 0.0:
-        raise ValueError(f"a_target_m_s2 must be > 0, got {a_target_m_s2}")
-    if p_w < 0.0:
-        raise ValueError(f"p_w must be >= 0, got {p_w}")
+    _check_magnitudes(
+        (("a_measured_m_s2", a_measured_m_s2), ("a_target_m_s2", a_target_m_s2)),
+        (("p_w", p_w),),
+    )
     ratio = a_target_m_s2 / a_measured_m_s2
     return p_w * ratio * ratio
 

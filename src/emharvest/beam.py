@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .model import _check_magnitudes
+
 __all__ = [
     "MaterialProps",
     "BeamSpec",
@@ -36,9 +38,9 @@ class MaterialProps:
     density_kg_m3: float
 
     def __post_init__(self) -> None:
-        for name in ("youngs_modulus_pa", "density_kg_m3"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        _check_magnitudes((
+            ("youngs_modulus_pa", self.youngs_modulus_pa), ("density_kg_m3", self.density_kg_m3),
+        ))
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,10 @@ class BeamSpec:
     tip_mass_kg: float
 
     def __post_init__(self) -> None:
-        for name in ("length_m", "width_m", "thickness_m", "tip_mass_kg"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        _check_magnitudes((
+            ("length_m", self.length_m), ("width_m", self.width_m),
+            ("thickness_m", self.thickness_m), ("tip_mass_kg", self.tip_mass_kg),
+        ))
         if self.thickness_m > self.width_m:
             raise ValueError(
                 f"thickness_m ({self.thickness_m}) must not exceed width_m "

@@ -5,7 +5,8 @@ All numeric output uses scientific notation with 9 significant digits and
 plain ASCII separators, so identical inputs give byte-identical files.
 
 Exit codes: 0 success, 2 configuration problem, 4 simulation that did not
-reach steady state, 3 any other numerical precondition failure.
+reach steady state, 3 any other numerical precondition failure (including a
+non-finite command-line number and arithmetic that leaves the float range).
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .analysis import compare_catalog
 from .beam import BeamSpec, frequency_table
 from .config import Catalog, ConfigError, Scenario, load_catalog
 from .model import (
+    _CONVENTIONS,
     Excitation,
     check_displacement_limit,
     damping_coefficient_from_ratio,
@@ -32,8 +36,11 @@ from .sim import SimConfig, SimulationNotSettled, SweepPointError, simulate
 __all__ = ["main"]
 
 
+_NUM = "%.8e"
+
+
 def _num(x: float) -> str:
-    return "%.8e" % x
+    return _NUM % x
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -42,6 +49,12 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit_csv(columns: Sequence[str], rows: Iterable[Sequence[float]], out: str | None) -> None:
+    """Write a CSV: the column names, then every row in the _num format."""
+    fmt = ",".join([_NUM] * len(columns))
+    _emit("\n".join([",".join(columns), *(fmt % tuple(row) for row in rows)]) + "\n", out)
 
 
 def _load_scenario(args: argparse.Namespace) -> tuple[Catalog, Scenario]:
@@ -96,31 +109,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rng = scn.freq_sweep
         if rng is None:
             raise ConfigError(f"scenario {scn.name!r} defines no frequency sweep range")
-        rows = ["freq_hz,z_amp_m,emf_rms_v,p_load_w"]
+        columns = ("freq_hz", "z_amp_m", "emf_rms_v", "p_load_w")
+        rows = []
         for f_hz in rng.values():
             w = 2.0 * math.pi * f_hz
             e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
             rp = evaluate_response(g, c, e)
-            rows.append(
-                ",".join(
-                    _num(v) for v in (f_hz, rp.z_amplitude_m, rp.emf_rms_v, rp.p_load_w)
-                )
-            )
+            rows.append((f_hz, rp.z_amplitude_m, rp.emf_rms_v, rp.p_load_w))
     else:
         rng = scn.load_sweep
         if rng is None:
             raise ConfigError(f"scenario {scn.name!r} defines no load sweep range")
         w = 2.0 * math.pi * scn.freq_hz
         e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
-        rows = ["r_load_ohm,p_load_w,p_total_w"]
+        columns = ("r_load_ohm", "p_load_w", "p_total_w")
+        rows = []
         for r_load in rng.values():
             rp = evaluate_response(g, replace(c, r_load_ohm=r_load), e)
-            rows.append(
-                ",".join(
-                    _num(v) for v in (r_load, rp.p_load_w, rp.p_total_electrical_w)
-                )
-            )
-    _emit("\n".join(rows) + "\n", args.out)
+            rows.append((r_load, rp.p_load_w, rp.p_total_electrical_w))
+    _emit_csv(columns, rows, args.out)
     return 0
 
 
@@ -150,21 +157,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if trace is not None:
-        rows = ["t_s,z_m,zdot_m_s,emf_v,p_load_w"]
-        for i in range(len(trace.t_s)):
-            rows.append(
-                ",".join(
-                    _num(v)
-                    for v in (
-                        trace.t_s[i],
-                        trace.z_m[i],
-                        trace.zdot_m_s[i],
-                        trace.emf_v[i],
-                        trace.p_load_w[i],
-                    )
-                )
-            )
-        _emit("\n".join(rows) + "\n", args.out)
+        table = np.column_stack((trace.t_s, trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w))
+        # a chunk at a time: one tolist() of the whole table would hold every
+        # value as a Python float at once
+        rows = (row for i in range(0, len(table), 4096) for row in table[i:i + 4096].tolist())
+        _emit_csv(("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w"), rows, args.out)
     return 0
 
 
@@ -197,10 +194,8 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         tip_mass_kg=args.tip_mass,
     )
     grid = frequency_table(base, thicknesses, mats)
-    rows = ["thickness_m," + ",".join(f"{m.name}_hz" for m in mats)]
-    for t, freqs in zip(thicknesses, grid):
-        rows.append(",".join([_num(t)] + [_num(f) for f in freqs]))
-    _emit("\n".join(rows) + "\n", args.out)
+    columns = ["thickness_m", *(f"{m.name}_hz" for m in mats)]
+    _emit_csv(columns, ([t, *freqs] for t, freqs in zip(thicknesses, grid)), args.out)
     return 0
 
 
@@ -248,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_common.add_argument("--scenario", required=True, help="scenario name")
     scenario_common.add_argument(
         "--accel-tag",
-        choices=("peak", "rms"),
+        choices=_CONVENTIONS,
         help="override the scenario's acceleration amplitude convention",
     )
 
@@ -322,6 +317,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4 if isinstance(err.cause, SimulationNotSettled) else 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except ArithmeticError as err:
+        # finite inputs whose squares or quotients leave the float range
+        print(f"error: value out of floating-point range: {err}", file=sys.stderr)
         return 3
 
 

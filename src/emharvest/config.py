@@ -18,7 +18,7 @@ from importlib import resources
 
 from .analysis import DeviceRecord
 from .beam import MaterialProps
-from .model import CoilCircuit, GeneratorParams
+from .model import _CONVENTIONS, CoilCircuit, GeneratorParams, _check_magnitudes
 from .sim import SimConfig
 
 __all__ = [
@@ -54,8 +54,7 @@ class SweepRange:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"start and stop must be finite, got {self.start}, {self.stop}")
+        _check_magnitudes(nonnegative=(("start", self.start), ("stop", self.stop)))
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
         if self.points == 1:
@@ -67,7 +66,7 @@ class SweepRange:
             )
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be linear|log, got {self.scale!r}")
-        if self.scale == "log" and not self.start > 0.0:
+        if self.scale == "log" and self.start == 0.0:
             raise ValueError("log-scaled range needs start > 0")
 
     def values(self) -> list[float]:
@@ -100,12 +99,9 @@ class Scenario:
     sim: SimConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.accel_m_s2 < math.inf:
-            raise ValueError(f"accel_m_s2 must be finite and >= 0, got {self.accel_m_s2}")
-        if self.accel_tag not in ("peak", "rms"):
-            raise ValueError(f"accel_tag must be peak|rms, got {self.accel_tag!r}")
-        if not 0.0 < self.freq_hz < math.inf:
-            raise ValueError(f"freq_hz must be finite and > 0, got {self.freq_hz}")
+        _check_magnitudes((("freq_hz", self.freq_hz),), (("accel_m_s2", self.accel_m_s2),))
+        if self.accel_tag not in _CONVENTIONS:
+            raise ValueError(f"accel_tag must be in {_CONVENTIONS}, got {self.accel_tag!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "GeneratorParams",
@@ -43,6 +44,25 @@ __all__ = [
 _CONVENTIONS = ("peak", "rms")
 
 
+def _check_magnitudes(
+    positive: Iterable[tuple[str, float]] = (),
+    nonnegative: Iterable[tuple[str, float]] = (),
+) -> None:
+    """The one range rule for physical magnitudes.
+
+    Takes (name, value) pairs and raises ValueError naming the first value
+    that is NaN or infinite, or <= 0 in ``positive``, or < 0 in
+    ``nonnegative``.  Hot dataclasses make one call per construction.
+    """
+    inf = math.inf  # one lookup per call: this runs on every hot construction
+    for name, x in positive:
+        if not 0.0 < x < inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {x}")
+    for name, x in nonnegative:
+        if not 0.0 <= x < inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Lumped mechanical parameters of the spring-mass resonator.
@@ -59,17 +79,13 @@ class GeneratorParams:
     displacement_limit_m: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("mass_kg", "stiffness_n_per_m"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        positive = [("mass_kg", self.mass_kg), ("stiffness_n_per_m", self.stiffness_n_per_m)]
+        if self.displacement_limit_m is not None:
+            positive.append(("displacement_limit_m", self.displacement_limit_m))
+        _check_magnitudes(positive)
         if not 0.0 <= self.zeta_parasitic < 1.0:
             raise ValueError(
                 f"zeta_parasitic must be in [0, 1), got {self.zeta_parasitic}"
-            )
-        limit = self.displacement_limit_m
-        if limit is not None and not 0.0 < limit < math.inf:
-            raise ValueError(
-                f"displacement_limit_m must be finite and > 0 when set, got {limit}"
             )
 
 
@@ -93,13 +109,14 @@ class CoilCircuit:
     r_load_ohm: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.turns, int) or self.turns < 0:
-            raise ValueError(f"turns must be a non-negative integer, got {self.turns!r}")
-        for name in ("side_length_m", "flux_density_t", "r_coil_ohm", "l_coil_h"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
-                )
+        if not isinstance(self.turns, int):
+            raise ValueError(f"turns must be an integer, got {self.turns!r}")
+        _check_magnitudes(nonnegative=(
+            ("turns", self.turns), ("side_length_m", self.side_length_m),
+            ("flux_density_t", self.flux_density_t), ("r_coil_ohm", self.r_coil_ohm),
+            ("l_coil_h", self.l_coil_h),
+        ))
+        # only a lower bound: r_load_ohm = inf is the open circuit
         if not self.r_load_ohm > 0.0:
             raise ValueError(f"r_load_ohm must be > 0, got {self.r_load_ohm}")
 
@@ -120,12 +137,10 @@ class Excitation:
     omega_rad_per_s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.amplitude_m < math.inf:
-            raise ValueError(f"amplitude_m must be finite and >= 0, got {self.amplitude_m}")
-        if not 0.0 < self.omega_rad_per_s < math.inf:
-            raise ValueError(
-                f"omega_rad_per_s must be finite and > 0, got {self.omega_rad_per_s}"
-            )
+        _check_magnitudes(
+            (("omega_rad_per_s", self.omega_rad_per_s),),
+            (("amplitude_m", self.amplitude_m),),
+        )
 
     @property
     def acceleration_m_s2(self) -> float:
@@ -144,10 +159,7 @@ class Excitation:
         """
         if convention not in _CONVENTIONS:
             raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-        if not 0.0 <= accel_m_s2 < math.inf:
-            raise ValueError(f"accel_m_s2 must be finite and >= 0, got {accel_m_s2}")
-        if not omega_rad_per_s > 0.0:
-            raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
+        _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),), (("accel_m_s2", accel_m_s2),))
         peak = accel_m_s2 * math.sqrt(2.0) if convention == "rms" else accel_m_s2
         return cls(amplitude_m=peak / omega_rad_per_s**2, omega_rad_per_s=omega_rad_per_s)
 
@@ -174,10 +186,11 @@ class ResponsePoint:
     emf_rms_v: float
 
     def __post_init__(self) -> None:
-        for name in ("z_amplitude_m", "p_dissipated_w", "p_load_w",
-                     "p_total_electrical_w", "v_load_rms_v", "emf_rms_v"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_magnitudes(nonnegative=(
+            ("z_amplitude_m", self.z_amplitude_m), ("p_dissipated_w", self.p_dissipated_w),
+            ("p_load_w", self.p_load_w), ("p_total_electrical_w", self.p_total_electrical_w),
+            ("v_load_rms_v", self.v_load_rms_v), ("emf_rms_v", self.emf_rms_v),
+        ))
         if not 0.0 <= self.phase_rad <= math.pi:
             raise ValueError(f"phase_rad must be in [0, pi], got {self.phase_rad}")
         # tiny slack for float round-off in the resistive split
@@ -201,10 +214,10 @@ class DampingDecomposition:
     zeta_t: float
 
     def __post_init__(self) -> None:
-        for name in ("q_total", "q_open_circuit", "q_electrical"):
-            q = getattr(self, name)
-            if not (math.isfinite(q) and q > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {q}")
+        _check_magnitudes((
+            ("q_total", self.q_total), ("q_open_circuit", self.q_open_circuit),
+            ("q_electrical", self.q_electrical),
+        ))
         if self.q_electrical < self.q_total or self.q_open_circuit < self.q_total:
             raise ValueError("loaded Q cannot exceed either contributing Q")
         lhs = 1.0 / self.q_total
@@ -307,8 +320,7 @@ def load_power(
     is maximized at zeta_e = zeta_p.  Coil resistance keeps part of this
     power from the load; see max_avg_load_power for the delivered optimum.
     """
-    if zeta_p < 0.0 or zeta_e < 0.0:
-        raise ValueError("damping ratios must be >= 0")
+    _check_magnitudes(nonnegative=(("zeta_p", zeta_p), ("zeta_e", zeta_e)))
     if zeta_p + zeta_e <= 0.0:
         raise ValueError("zeta_p + zeta_e must be > 0")
     wn = _require_resonant(g, e)
@@ -361,8 +373,7 @@ def optimal_load(c: CoilCircuit, c_parasitic: float) -> float:
     R_coil + (N l B)^2 / c_parasitic, where c_parasitic is the parasitic
     viscous coefficient in N*s/m.
     """
-    if not c_parasitic > 0.0:
-        raise ValueError(f"c_parasitic must be > 0, got {c_parasitic}")
+    _check_magnitudes((("c_parasitic", c_parasitic),))
     coupling = c.coupling_v_s_per_m
     return c.r_coil_ohm + coupling * coupling / c_parasitic
 
@@ -380,12 +391,10 @@ def max_avg_load_power(
     optimal load resistance.  A lossless coil (R_coil = 0) leaves the full
     m w_n^3 Y^2 / (16 zeta_p).
     """
-    if not zeta_p > 0.0:
-        raise ValueError(f"zeta_p must be > 0, got {zeta_p}")
-    if not r_load_ohm > 0.0:
-        raise ValueError(f"r_load_ohm must be > 0, got {r_load_ohm}")
-    if r_coil_ohm < 0.0:
-        raise ValueError(f"r_coil_ohm must be >= 0, got {r_coil_ohm}")
+    _check_magnitudes(
+        (("zeta_p", zeta_p), ("r_load_ohm", r_load_ohm)),
+        (("r_coil_ohm", r_coil_ohm),),
+    )
     wn = _require_resonant(g, e)
     return (
         g.mass_kg * wn**3 * e.amplitude_m**2 / (16.0 * zeta_p)
@@ -416,9 +425,7 @@ def compose_q_factors(
             f"exactly two of (q_total, q_open_circuit, q_electrical) must be "
             f"given, got {sorted(provided)}"
         )
-    for name, q in provided.items():
-        if not (math.isfinite(q) and q > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {q}")
+    _check_magnitudes(provided.items())
 
     if q_total is None:
         q_total = 1.0 / (1.0 / q_open_circuit + 1.0 / q_electrical)
@@ -452,17 +459,13 @@ def base_amplitude_from_acceleration(accel_m_s2: float, omega_rad_per_s: float) 
     The conversion is linear, so the amplitude keeps the convention of the
     input (peak in, peak out; RMS in, RMS out).
     """
-    if not omega_rad_per_s > 0.0:
-        raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
+    _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),), (("accel_m_s2", accel_m_s2),))
     return accel_m_s2 / omega_rad_per_s**2
 
 
 def load_voltage_from_power(p_load_w: float, r_load_ohm: float) -> float:
     """RMS load voltage sqrt(P * R_load) for an average load power P."""
-    if not r_load_ohm > 0.0:
-        raise ValueError(f"r_load_ohm must be > 0, got {r_load_ohm}")
-    if p_load_w < 0.0:
-        raise ValueError(f"p_load_w must be >= 0, got {p_load_w}")
+    _check_magnitudes((("r_load_ohm", r_load_ohm),), (("p_load_w", p_load_w),))
     return math.sqrt(p_load_w * r_load_ohm)
 
 

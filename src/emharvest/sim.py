@@ -29,6 +29,7 @@ from .model import (
     CoilCircuit,
     Excitation,
     GeneratorParams,
+    _check_magnitudes,
     natural_frequency,
     total_damping,
 )
@@ -75,11 +76,10 @@ class SimConfig:
     settle_fraction: float = 0.8
 
     def __post_init__(self) -> None:
-        if not self.dt_s > 0.0:
-            raise ValueError(f"dt_s must be > 0, got {self.dt_s}")
-        if not 10.0 * self.dt_s < self.duration_s < math.inf:
+        _check_magnitudes((("dt_s", self.dt_s), ("duration_s", self.duration_s)))
+        if not self.duration_s > 10.0 * self.dt_s:
             raise ValueError(
-                f"duration_s must be finite and exceed 10*dt_s; got "
+                f"duration_s must exceed 10*dt_s; got "
                 f"duration_s={self.duration_s} with dt_s={self.dt_s}"
             )
         if not 0.0 <= self.settle_fraction < 1.0:
@@ -112,8 +112,7 @@ class SimConfig:
                 f"steps_per_period must be >= {_MIN_STEPS_PER_PERIOD}, "
                 f"got {steps_per_period}"
             )
-        if not omega_rad_per_s > 0.0:
-            raise ValueError(f"omega_rad_per_s must be > 0, got {omega_rad_per_s}")
+        _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
         wn = natural_frequency(g)
         zeta_t = g.zeta_parasitic if c is None else total_damping(g, c, omega_rad_per_s)[2]
         if not zeta_t > 0.0:
@@ -144,16 +143,12 @@ class TraceSummary:
     phase_rad: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "z_amp_m",
-            "v_rel_rms_m_per_s",
-            "emf_rms_v",
-            "p_load_avg_w",
-            "p_parasitic_avg_w",
-            "energy_balance_residual",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_magnitudes(nonnegative=(
+            ("z_amp_m", self.z_amp_m), ("v_rel_rms_m_per_s", self.v_rel_rms_m_per_s),
+            ("emf_rms_v", self.emf_rms_v), ("p_load_avg_w", self.p_load_avg_w),
+            ("p_parasitic_avg_w", self.p_parasitic_avg_w),
+            ("energy_balance_residual", self.energy_balance_residual),
+        ))
 
 
 @dataclass(frozen=True)

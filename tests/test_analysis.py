@@ -128,6 +128,15 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="emf_rms_v"):
             SweepCurve.from_csv(str(path), 1.0)
 
+    def test_csv_nan_cell_rejected(self, tmp_path):
+        # a NaN magnitude used to be skipped by the half-power walk (Q ~ 0.73)
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "freq_hz,emf_rms_v\n1,0.1\n2,0.5\n3,nan\n4,0.5\n5,0.1\n"
+        )
+        with pytest.raises(ValueError, match="magnitudes"):
+            SweepCurve.from_csv(str(path), 1.0)
+
 
 class TestExtractQHalfPower:
     def test_recovers_measured_q(self):
@@ -392,6 +401,12 @@ class TestCompareCatalog:
         with pytest.raises(ValueError, match="empty"):
             compare_catalog([], 3.0)
 
+    def test_overflowing_density_rejected(self):
+        # finite inputs whose normalized power overflows used to rank as inf
+        loud = DeviceRecord("loud", 1.0, 1e-3, 100.0, 1e300, 1e-300)
+        with pytest.raises(ValueError, match="normalized_power_w"):
+            compare_catalog([loud], 3.0)
+
 
 class TestDeviceRecord:
     @pytest.mark.parametrize(
@@ -406,7 +421,8 @@ class TestDeviceRecord:
             ("resonant_frequency_hz", math.nan),
             ("measured_power_w", math.nan),
             ("measured_power_w", math.inf),
-        ],
+        ]
+        + [(f, v) for f in ("flux_density_t", "r_coil_ohm") for v in (math.nan, math.inf, -1.0)],
     )
     def test_rejects_bad_fields(self, field, value):
         kwargs = dict(

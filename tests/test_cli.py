@@ -32,6 +32,14 @@ freq_hz = 120
 generator = bench
 accel_m_s2 = 0.0
 freq_hz = 120
+
+[device.bench]
+volume_mm3 = 10
+active_mass_kg = 1e-3
+resonant_frequency_hz = 120
+measured_power_w = 1e-6
+measured_at_acceleration_m_s2 = 2.0
+r_coil_ohm = 47
 """
 
 RUSHED = """
@@ -122,8 +130,9 @@ class TestModelCommand:
         [("accel_m_s2 = 0.0", "accel_m_s2 = nan"),
          ("mass_kg = 1e-3", "mass_kg = inf"),
          ("side_length_m = 1e-3", "side_length_m = nan"),
-         ("freq_hz = 120", "freq_hz = inf")],
-        ids=["accel-nan", "mass-inf", "side-nan", "freq-inf"],
+         ("freq_hz = 120", "freq_hz = inf"),
+         ("r_coil_ohm = 47", "r_coil_ohm = nan")],
+        ids=["accel-nan", "mass-inf", "side-nan", "freq-inf", "device-r_coil-nan"],
     )
     def test_non_finite_catalog_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = bench_config(tmp_path, BENCH.replace(key, value))
@@ -324,6 +333,31 @@ class TestCompareCommand:
         data = [line.split() for line in lines[2:]]
         assert [row[1] for row in data] == ["pmg7", "cantilever_micro", "lateral_micro"]
         assert float(data[1][5]) == pytest.approx(47.5 / 9.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["beam", "--length", "inf", "--width", "2e-3", "--tip-mass", "4.4e-4",
+          "--thicknesses", "50e-6"], "length_m"),
+        (["beam", "--length", "5e-3", "--width", "2e-3", "--tip-mass", "inf",
+          "--thicknesses", "50e-6"], "tip_mass_kg"),
+        (["beam", "--length", "5e-3", "--width", "2e-3", "--tip-mass", "4.4e-4",
+          "--thicknesses", "50e-6,inf"], "thickness_m"),
+        (["beam", "--length", "nan", "--width", "2e-3", "--tip-mass", "4.4e-4",
+          "--thicknesses", "50e-6"], "length_m"),
+        (["compare", "--target-accel", "inf"], "a_target_m_s2"),
+        (["compare", "--target-accel", "nan"], "a_target_m_s2"),
+        (["compare", "--target-accel=-inf"], "a_target_m_s2"),
+    ],
+    ids=["beam-length-inf", "beam-tip-mass-inf", "beam-thickness-inf", "beam-length-nan",
+         "compare-accel-inf", "compare-accel-nan", "compare-accel-neg-inf"],
+)
+def test_non_finite_command_line_number_exits_3(capsys, argv, name):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
 
 
 # sha256 of every CLI artefact of the two bundled scenarios; for
