@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -43,18 +44,40 @@ def _num(x: float) -> str:
     return _NUM % x
 
 
-def _emit(text: str, out: str | None) -> None:
+# rows formatted per write: the trace's 125k rows never exist as one string
+_BLOCK_ROWS = 4096
+
+
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The --out file, opened for writing, or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
-def _emit_csv(columns: Sequence[str], rows: Iterable[Sequence[float]], out: str | None) -> None:
-    """Write a CSV: the column names, then every row in the _num format."""
-    fmt = ",".join([_NUM] * len(columns))
-    _emit("\n".join([",".join(columns), *(fmt % tuple(row) for row in rows)]) + "\n", out)
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _emit_csv(names: Sequence[str], columns: Sequence[Sequence[float]], out: str | None) -> None:
+    """Write a CSV: the column names, then one row in the _num format per
+    index of the equal-length columns.
+
+    Rows are formatted and written a block at a time, each block with one
+    ``%`` over its flattened values, so memory does not grow with the row
+    count.
+    """
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join([_NUM] * len(names)) + "\n"
+    with _output(out) as fh:
+        fh.write(",".join(names) + "\n")
+        for i in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = np.column_stack([col[i:i + _BLOCK_ROWS] for col in cols])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _load_scenario(args: argparse.Namespace) -> tuple[Catalog, Scenario]:
@@ -109,7 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rng = scn.freq_sweep
         if rng is None:
             raise ConfigError(f"scenario {scn.name!r} defines no frequency sweep range")
-        columns = ("freq_hz", "z_amp_m", "emf_rms_v", "p_load_w")
+        names = ("freq_hz", "z_amp_m", "emf_rms_v", "p_load_w")
         rows = []
         for f_hz in rng.values():
             w = 2.0 * math.pi * f_hz
@@ -122,12 +145,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"scenario {scn.name!r} defines no load sweep range")
         w = 2.0 * math.pi * scn.freq_hz
         e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
-        columns = ("r_load_ohm", "p_load_w", "p_total_w")
+        names = ("r_load_ohm", "p_load_w", "p_total_w")
         rows = []
         for r_load in rng.values():
             rp = evaluate_response(g, replace(c, r_load_ohm=r_load), e)
             rows.append((r_load, rp.p_load_w, rp.p_total_electrical_w))
-    _emit_csv(columns, rows, args.out)
+    _emit_csv(names, list(zip(*rows)), args.out)
     return 0
 
 
@@ -157,11 +180,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if trace is not None:
-        table = np.column_stack((trace.t_s, trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w))
-        # a chunk at a time: one tolist() of the whole table would hold every
-        # value as a Python float at once
-        rows = (row for i in range(0, len(table), 4096) for row in table[i:i + 4096].tolist())
-        _emit_csv(("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w"), rows, args.out)
+        _emit_csv(
+            ("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w"),
+            (trace.t_s, trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w),
+            args.out,
+        )
     return 0
 
 
@@ -194,8 +217,8 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         tip_mass_kg=args.tip_mass,
     )
     grid = frequency_table(base, thicknesses, mats)
-    columns = ["thickness_m", *(f"{m.name}_hz" for m in mats)]
-    _emit_csv(columns, ([t, *freqs] for t, freqs in zip(thicknesses, grid)), args.out)
+    names = ["thickness_m", *(f"{m.name}_hz" for m in mats)]
+    _emit_csv(names, [thicknesses, *zip(*grid)], args.out)
     return 0
 
 

@@ -264,9 +264,12 @@ def displacement_response(
     zeta_total = 0 is accepted off resonance (finite undamped response) and
     rejected at exact resonance, where the amplitude is unbounded.
     """
+    return _displacement(natural_frequency(g), zeta_total, e)
+
+
+def _displacement(wn: float, zeta_total: float, e: Excitation) -> tuple[float, float]:
     _check_zeta_range(zeta_total)
     w = e.omega_rad_per_s
-    wn = natural_frequency(g)
     if zeta_total == 0.0 and w == wn:
         raise ValueError("undamped response is unbounded at exact resonance")
     num = e.amplitude_m * w * w
@@ -281,12 +284,16 @@ def dissipated_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> fl
     Equals m zeta_T Y^2 r^3 w^3 / ((1 - r^2)^2 + (2 zeta_T r)^2) with
     r = w / w_n; at resonance this reduces to the max_resonant_power value.
     """
+    return _dissipated(g.mass_kg, natural_frequency(g), zeta_total, e)
+
+
+def _dissipated(mass_kg: float, wn: float, zeta_total: float, e: Excitation) -> float:
     if not 0.0 < zeta_total < 1.0:
         raise ValueError(f"zeta_total must be in (0, 1), got {zeta_total}")
     w = e.omega_rad_per_s
-    r = w / natural_frequency(g)
+    r = w / wn
     den = (1.0 - r * r) ** 2 + (2.0 * zeta_total * r) ** 2
-    return g.mass_kg * zeta_total * e.amplitude_m**2 * r**3 * w**3 / den
+    return mass_kg * zeta_total * e.amplitude_m**2 * r**3 * w**3 / den
 
 
 def _require_resonant(g: GeneratorParams, e: Excitation) -> float:
@@ -342,8 +349,12 @@ def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     R_load + R_coil + j w L_coil.  With zero inductance this is the plain
     resistive expression; an infinite load resistance gives 0 (open circuit).
     """
+    return _em_damping(c, _impedance_magnitude(c, omega_rad_per_s))
+
+
+def _em_damping(c: CoilCircuit, z_mag: float) -> float:
     coupling = c.coupling_v_s_per_m
-    return coupling * coupling / _impedance_magnitude(c, omega_rad_per_s)
+    return coupling * coupling / z_mag
 
 
 def total_damping(
@@ -351,9 +362,15 @@ def total_damping(
 ) -> tuple[float, float, float]:
     """Parasitic and electrical viscous coefficients c_p, c_e (N*s/m) and the
     total damping ratio (c_p + c_e) / (2 m w_n) at one drive frequency."""
-    c_crit = 2.0 * g.mass_kg * natural_frequency(g)
+    return _damping(g, natural_frequency(g), c, _impedance_magnitude(c, omega_rad_per_s))
+
+
+def _damping(
+    g: GeneratorParams, wn: float, c: CoilCircuit, z_mag: float
+) -> tuple[float, float, float]:
+    c_crit = 2.0 * g.mass_kg * wn
     c_p = c_crit * g.zeta_parasitic
-    c_e = em_damping_coefficient(c, omega_rad_per_s)
+    c_e = _em_damping(c, z_mag)
     return c_p, c_e, (c_p + c_e) / c_crit
 
 
@@ -471,6 +488,7 @@ def load_voltage_from_power(p_load_w: float, r_load_ohm: float) -> float:
 
 def check_displacement_limit(g: GeneratorParams, predicted_z_m: float) -> LimitCheck:
     """Check a predicted proof-mass amplitude against the travel limit."""
+    _check_magnitudes(nonnegative=(("predicted_z_m", predicted_z_m),))
     if g.displacement_limit_m is None:
         return LimitCheck(passed=True, margin_m=None)
     margin = g.displacement_limit_m - predicted_z_m
@@ -490,12 +508,12 @@ def evaluate_response(
     for l_coil_h = 0.
     """
     w = e.omega_rad_per_s
-    _, _, zeta_t = total_damping(g, c, w)
-    amp, phase = displacement_response(g, zeta_t, e)
-    if zeta_t > 0.0:
-        p_diss = dissipated_power(g, zeta_t, e)
-    else:
-        p_diss = 0.0
+    # w_n and |Z| once per point, shared by the damping, motion and circuit
+    wn = natural_frequency(g)
+    z_mag = _impedance_magnitude(c, w)
+    _, _, zeta_t = _damping(g, wn, c, z_mag)
+    amp, phase = _displacement(wn, zeta_t, e)
+    p_diss = _dissipated(g.mass_kg, wn, zeta_t, e) if zeta_t > 0.0 else 0.0
     # series circuit: EMF drives R_load + R_coil (+ j w L_coil)
     emf_rms = c.coupling_v_s_per_m * amp * w / math.sqrt(2.0)
     if math.isinf(c.r_load_ohm):
@@ -503,7 +521,7 @@ def evaluate_response(
         p_total_e = 0.0
         v_load = emf_rms  # no current, full EMF appears across the load
     else:
-        i_rms = emf_rms / _impedance_magnitude(c, w)
+        i_rms = emf_rms / z_mag
         p_load = i_rms * i_rms * c.r_load_ohm
         p_total_e = i_rms * i_rms * (c.r_load_ohm + c.r_coil_ohm)
         v_load = i_rms * c.r_load_ohm

@@ -271,6 +271,8 @@ def simulate(
 
     z_arr = np.asarray(zs)
     v_arr = np.asarray(vs)
+    # 125k boxed floats each: free them before the peak search, audit and trace
+    del zs, vs
 
     i0 = int(cfg.settle_fraction * n_steps)
     zw = z_arr[i0:]

@@ -27,6 +27,7 @@ from emharvest.model import (
     GeneratorParams,
     ResponsePoint,
     base_amplitude_from_acceleration,
+    check_displacement_limit,
     compose_q_factors,
     load_power,
     load_voltage_from_power,
@@ -108,6 +109,15 @@ CASES = {
         load_voltage_from_power,
         dict(p_load_w=1e-6, r_load_ohm=100.0),
         ("p_load_w", "r_load_ohm"),
+    ),
+    "check_displacement_limit": (
+        lambda **kw: check_displacement_limit(
+            GeneratorParams(mass_kg=1e-3, stiffness_n_per_m=400.0, zeta_parasitic=0.01,
+                            displacement_limit_m=1e-3),
+            **kw,
+        ),
+        dict(predicted_z_m=1e-4),
+        ("predicted_z_m",),
     ),
     "SweepCurve": (
         SweepCurve,

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from emharvest.cli import main
+from emharvest.cli import _NUM, _emit_csv, main
 
 BENCH = """
 [generator.bench]
@@ -358,6 +360,48 @@ def test_non_finite_command_line_number_exits_3(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+def _reference_csv(names, columns):
+    """The CSV text of a row-at-a-time writer: the header, every row with one
+    _NUM per value, one newline after each line."""
+    fmt = ",".join([_NUM] * len(names))
+    rows = [fmt % tuple(row) for row in zip(*columns)]
+    return "\n".join([",".join(names), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_csv_writer_matches_row_reference_across_blocks(tmp_path, capsys, n_rows, to_file):
+    rng = np.random.default_rng(n_rows)
+    # signs, zeros and exponents across the float range, as the trace has
+    columns = [
+        rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+        np.zeros(n_rows),
+        np.arange(n_rows) * 2e-5,
+    ]
+    names = ("a", "b", "t_s")
+    path = tmp_path / "table.csv"
+    _emit_csv(names, columns, str(path) if to_file else None)
+    written = path.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
+    assert written == _reference_csv(names, columns).encode("utf-8")
+
+
+def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
+    # the size of the bundled cantilever scenario's simulate trace, 125,001 x 5;
+    # formatting it as one string takes ~30 MB
+    n_rows = 125_001
+    columns = [np.linspace(-1.0, 1.0, n_rows) * (k + 1.5) for k in range(5)]
+    names = ("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w")
+    tracemalloc.start()
+    try:
+        _emit_csv(names, columns, str(tmp_path / "trace.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == n_rows + 1
 
 
 # sha256 of every CLI artefact of the two bundled scenarios; for

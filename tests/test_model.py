@@ -507,6 +507,11 @@ class TestDisplacementLimit:
         assert check.passed
         assert check.margin_m is None
 
+    def test_negative_amplitude_rejected(self):
+        # an amplitude is a magnitude: a negative one would pass any travel limit
+        with pytest.raises(ValueError, match="predicted_z_m"):
+            check_displacement_limit(make_gen(wn=100.0, limit=240e-6), -1.0)
+
 
 class TestResponsePoint:
     def test_rejects_negative_power(self):
