@@ -34,6 +34,32 @@ __all__ = [
 _HALF_POWER = 1.0 / math.sqrt(2.0)
 
 
+def _read_columns(path: str, names: tuple[str, ...]) -> list[tuple[float, ...]]:
+    """The named columns of a headed CSV file as float tuples.  A missing or
+    repeated column, short row or non-number cell is a ValueError naming where."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in names if header.count(name) != 1]
+        if missing:
+            raise ValueError(f"{path}: missing or repeated column(s) {', '.join(missing)}")
+        where = [(name, header.index(name)) for name in names]
+        cols: list[list[float]] = [[] for _ in names]
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            for col, (name, i) in zip(cols, where):
+                try:
+                    col.append(float(row[i]))
+                except (IndexError, ValueError):
+                    fault = (f"{row[i]!r} is not a number" if i < len(row)
+                             else "the row is too short")
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}, column {name}: {fault}"
+                    ) from None
+    return [tuple(col) for col in cols]
+
+
 @dataclass(frozen=True)
 class SweepCurve:
     """A response magnitude versus drive frequency, at one base acceleration.
@@ -74,21 +100,11 @@ class SweepCurve:
         acceleration_tag: str = "rms",
     ) -> "SweepCurve":
         """Load a frequency-sweep CSV (freq_hz plus named response column)."""
-        freqs: list[float] = []
-        mags: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "freq_hz" not in reader.fieldnames:
-                raise ValueError(f"{path}: missing freq_hz column")
-            if response_column not in reader.fieldnames:
-                raise ValueError(f"{path}: missing {response_column} column")
-            for row in reader:
-                freqs.append(float(row["freq_hz"]))
-                mags.append(float(row[response_column]))
+        freqs, mags = _read_columns(path, ("freq_hz", response_column))
         unit = "m" if response_column.endswith("_m") else "V"
         return cls(
-            freqs_hz=tuple(freqs),
-            magnitudes=tuple(mags),
+            freqs_hz=freqs,
+            magnitudes=mags,
             response_unit=unit,
             excitation_acceleration_m_s2=excitation_acceleration_m_s2,
             acceleration_tag=acceleration_tag,
@@ -119,19 +135,7 @@ class LoadSweep:
     @classmethod
     def from_csv(cls, path: str) -> "LoadSweep":
         """Load a load-sweep CSV (r_load_ohm, p_load_w, p_total_w)."""
-        rs: list[float] = []
-        pls: list[float] = []
-        pts: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"r_load_ohm", "p_load_w", "p_total_w"}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-                raise ValueError(f"{path}: need columns {sorted(needed)}")
-            for row in reader:
-                rs.append(float(row["r_load_ohm"]))
-                pls.append(float(row["p_load_w"]))
-                pts.append(float(row["p_total_w"]))
-        return cls(tuple(rs), tuple(pls), tuple(pts))
+        return cls(*_read_columns(path, ("r_load_ohm", "p_load_w", "p_total_w")))
 
 
 @dataclass(frozen=True)

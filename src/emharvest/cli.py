@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import compare_catalog
 from .beam import BeamSpec, frequency_table
-from .config import Catalog, ConfigError, Scenario, load_catalog
+from .config import ConfigError, Scenario, _lookup, load_catalog
 from .model import (
     _CONVENTIONS,
     Excitation,
@@ -32,7 +32,7 @@ from .model import (
     natural_frequency,
     optimal_load,
 )
-from .sim import SimConfig, SimulationNotSettled, SweepPointError, simulate
+from .sim import SimConfig, SimulationNotSettled, simulate
 
 __all__ = ["main"]
 
@@ -80,16 +80,15 @@ def _emit_csv(names: Sequence[str], columns: Sequence[Sequence[float]], out: str
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _load_scenario(args: argparse.Namespace) -> tuple[Catalog, Scenario]:
-    catalog = load_catalog(args.config)
-    scn = catalog.scenario(args.scenario)
+def _load_scenario(args: argparse.Namespace) -> Scenario:
+    scn = load_catalog(args.config).scenario(args.scenario)
     if args.accel_tag:
         scn = replace(scn, accel_tag=args.accel_tag)
-    return catalog, scn
+    return scn
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    _, scn = _load_scenario(args)
+    scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
     w = 2.0 * math.pi * scn.freq_hz
     e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
@@ -126,7 +125,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _, scn = _load_scenario(args)
+    scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
     if args.kind == "frequency":
         rng = scn.freq_sweep
@@ -155,7 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _, scn = _load_scenario(args)
+    scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
     w = 2.0 * math.pi * scn.freq_hz
     e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
@@ -192,17 +191,11 @@ def _cmd_beam(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.config)
     if args.materials:
         names = [s.strip() for s in args.materials.split(",") if s.strip()]
-        missing = [n for n in names if n not in catalog.materials]
-        if missing:
-            raise ConfigError(
-                "unknown material(s): " + ", ".join(missing)
-                + "; available: " + ", ".join(sorted(catalog.materials) or ["(none)"])
-            )
-        mats = [catalog.materials[n] for n in names]
     else:
-        if not catalog.materials:
-            raise ConfigError("catalog has no material sections")
-        mats = [catalog.materials[n] for n in sorted(catalog.materials)]
+        names = sorted(catalog.materials)
+    if not names:
+        raise ConfigError("no materials: --materials names none, or the catalog has none")
+    mats = [_lookup("material", n, catalog.materials) for n in names]
     try:
         thicknesses = [float(s) for s in args.thicknesses.split(",") if s.strip()]
     except ValueError as err:
@@ -335,9 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SimulationNotSettled as err:
         print(f"error: simulation did not settle: {err}", file=sys.stderr)
         return 4
-    except SweepPointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4 if isinstance(err.cause, SimulationNotSettled) else 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -5,8 +5,9 @@ Grammar: one entity per section, section names are "<kind>.<name>" with
 kind in {material, device, generator, scenario}; keys mirror the dataclass
 fields of the entity.  A scenario either references a generator section by
 name (generator = <name>) or carries the full generator key set inline.
-All problems (missing file, bad number, dangling reference, violated
-domain invariant) surface as ConfigError with the section and key named.
+All problems (missing file, bad number, dangling reference, a key the
+section does not read, violated domain invariant) surface as ConfigError
+with the section and key named.
 """
 
 from __future__ import annotations
@@ -114,60 +115,52 @@ class Catalog:
     scenarios: dict[str, Scenario]
 
     def scenario(self, name: str) -> Scenario:
-        if name not in self.scenarios:
-            raise ConfigError(
-                f"unknown scenario {name!r}; available: "
-                + ", ".join(sorted(self.scenarios) or ["(none)"])
-            )
-        return self.scenarios[name]
+        return _lookup("scenario", name, self.scenarios)
 
     def generator(self, name: str) -> GeneratorAssembly:
-        if name not in self.generators:
-            raise ConfigError(
-                f"unknown generator {name!r}; available: "
-                + ", ".join(sorted(self.generators) or ["(none)"])
-            )
-        return self.generators[name]
+        return _lookup("generator", name, self.generators)
+
+
+def _lookup(kind: str, name: str, table: dict, where: str = ""):
+    """table[name], or a ConfigError listing the names that do exist."""
+    if name not in table:
+        raise ConfigError(
+            f"{where}unknown {kind} {name!r}; available: "
+            + ", ".join(sorted(table) or ["(none)"])
+        )
+    return table[name]
 
 
 _MISSING = object()
 
 
 class _Section:
-    """One INI section with typed, error-reporting accessors."""
+    """One INI section: a typed accessor that records the keys it reads."""
 
     def __init__(self, name: str, raw: configparser.SectionProxy):
         self.name = name
         self.raw = raw
+        self.read: set[str] = set()
 
-    def _fetch(self, key: str, default):
-        if key in self.raw:
-            return self.raw[key]
-        if default is _MISSING:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return None
-
-    def get_str(self, key: str, default=_MISSING) -> str | None:
-        val = self._fetch(key, default)
-        return default if val is None else val.strip()
-
-    def get_float(self, key: str, default=_MISSING) -> float | None:
-        val = self._fetch(key, default)
-        if val is None:
+    def get(self, key: str, kind=float, default=_MISSING):
+        """key's value as kind (float, int or str); required unless defaulted."""
+        self.read.add(key)
+        if key not in self.raw:
+            if default is _MISSING:
+                raise ConfigError(f"[{self.name}] missing required key {key!r}")
             return default
+        val = self.raw[key]
         try:
-            return float(val)
+            return kind(val)
         except ValueError as err:
-            raise ConfigError(f"[{self.name}] {key} = {val!r} is not a number") from err
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"[{self.name}] {key} = {val!r} is not {what}") from err
 
-    def get_int(self, key: str, default=_MISSING) -> int | None:
-        val = self._fetch(key, default)
-        if val is None:
-            return default
-        try:
-            return int(val)
-        except ValueError as err:
-            raise ConfigError(f"[{self.name}] {key} = {val!r} is not an integer") from err
+    def reject_unread(self) -> None:
+        if unread := sorted(self.raw.keys() - self.read):
+            raise ConfigError(
+                f"[{self.name}] unknown or unused key(s): " + ", ".join(unread)
+            )
 
     def build(self, factory, /, **kwargs):
         """Run a dataclass constructor, recasting its errors as ConfigError."""
@@ -181,8 +174,8 @@ def _parse_material(sec: _Section, name: str) -> MaterialProps:
     return sec.build(
         MaterialProps,
         name=name,
-        youngs_modulus_pa=sec.get_float("youngs_modulus_pa"),
-        density_kg_m3=sec.get_float("density_kg_m3"),
+        youngs_modulus_pa=sec.get("youngs_modulus_pa"),
+        density_kg_m3=sec.get("density_kg_m3"),
     )
 
 
@@ -190,41 +183,41 @@ def _parse_device(sec: _Section, name: str) -> DeviceRecord:
     return sec.build(
         DeviceRecord,
         name=name,
-        volume_mm3=sec.get_float("volume_mm3"),
-        active_mass_kg=sec.get_float("active_mass_kg"),
-        resonant_frequency_hz=sec.get_float("resonant_frequency_hz"),
-        measured_power_w=sec.get_float("measured_power_w"),
-        measured_at_acceleration_m_s2=sec.get_float("measured_at_acceleration_m_s2"),
-        flux_density_t=sec.get_float("flux_density_t", None),
-        r_coil_ohm=sec.get_float("r_coil_ohm", None),
-        notes=sec.get_str("notes", "") or "",
+        volume_mm3=sec.get("volume_mm3"),
+        active_mass_kg=sec.get("active_mass_kg"),
+        resonant_frequency_hz=sec.get("resonant_frequency_hz"),
+        measured_power_w=sec.get("measured_power_w"),
+        measured_at_acceleration_m_s2=sec.get("measured_at_acceleration_m_s2"),
+        flux_density_t=sec.get("flux_density_t", float, None),
+        r_coil_ohm=sec.get("r_coil_ohm", float, None),
+        notes=sec.get("notes", str, ""),
     )
 
 
 def _parse_generator(sec: _Section, name: str) -> GeneratorAssembly:
     params = sec.build(
         GeneratorParams,
-        mass_kg=sec.get_float("mass_kg"),
-        stiffness_n_per_m=sec.get_float("stiffness_n_per_m"),
-        zeta_parasitic=sec.get_float("zeta_parasitic"),
-        displacement_limit_m=sec.get_float("displacement_limit_m", None),
+        mass_kg=sec.get("mass_kg"),
+        stiffness_n_per_m=sec.get("stiffness_n_per_m"),
+        zeta_parasitic=sec.get("zeta_parasitic"),
+        displacement_limit_m=sec.get("displacement_limit_m", float, None),
     )
     circuit = sec.build(
         CoilCircuit,
-        turns=sec.get_int("turns"),
-        side_length_m=sec.get_float("side_length_m"),
-        flux_density_t=sec.get_float("flux_density_t"),
-        r_coil_ohm=sec.get_float("r_coil_ohm"),
-        l_coil_h=sec.get_float("l_coil_h", 0.0),
-        r_load_ohm=sec.get_float("r_load_ohm"),
+        turns=sec.get("turns", int),
+        side_length_m=sec.get("side_length_m"),
+        flux_density_t=sec.get("flux_density_t"),
+        r_coil_ohm=sec.get("r_coil_ohm"),
+        l_coil_h=sec.get("l_coil_h", float, 0.0),
+        r_load_ohm=sec.get("r_load_ohm"),
     )
     return GeneratorAssembly(name=name, params=params, circuit=circuit)
 
 
 def _parse_sweep(sec: _Section, prefix: str, default_scale: str) -> SweepRange | None:
-    start = sec.get_float(f"{prefix}_start", None)
-    stop = sec.get_float(f"{prefix}_stop", None)
-    points = sec.get_int(f"{prefix}_points", None)
+    start = sec.get(f"{prefix}_start", float, None)
+    stop = sec.get(f"{prefix}_stop", float, None)
+    points = sec.get(f"{prefix}_points", int, None)
     present = [v is not None for v in (start, stop, points)]
     if not any(present):
         return None
@@ -233,27 +226,22 @@ def _parse_sweep(sec: _Section, prefix: str, default_scale: str) -> SweepRange |
             f"[{sec.name}] sweep needs all of {prefix}_start, {prefix}_stop, "
             f"{prefix}_points"
         )
-    scale = sec.get_str(f"{prefix}_scale", default_scale) or default_scale
+    scale = sec.get(f"{prefix}_scale", str, default_scale)
     return sec.build(SweepRange, start=start, stop=stop, points=points, scale=scale)
 
 
 def _parse_scenario(
     sec: _Section, name: str, generators: dict[str, GeneratorAssembly]
 ) -> Scenario:
-    gen_ref = sec.get_str("generator", None)
+    gen_ref = sec.get("generator", str, None)
     if gen_ref is not None:
-        if gen_ref not in generators:
-            raise ConfigError(
-                f"[{sec.name}] references unknown generator {gen_ref!r}; "
-                "available: " + ", ".join(sorted(generators) or ["(none)"])
-            )
-        assembly = generators[gen_ref]
+        assembly = _lookup("generator", gen_ref, generators, f"[{sec.name}] ")
     else:
         assembly = _parse_generator(sec, name=f"{name} (inline)")
 
     sim = None
-    dt = sec.get_float("dt_s", None)
-    duration = sec.get_float("duration_s", None)
+    dt = sec.get("dt_s", float, None)
+    duration = sec.get("duration_s", float, None)
     if (dt is None) != (duration is None):
         raise ConfigError(f"[{sec.name}] dt_s and duration_s must be given together")
     if dt is not None:
@@ -261,16 +249,16 @@ def _parse_scenario(
             SimConfig,
             dt_s=dt,
             duration_s=duration,
-            settle_fraction=sec.get_float("settle_fraction", 0.8),
+            settle_fraction=sec.get("settle_fraction", float, 0.8),
         )
 
     return sec.build(
         Scenario,
         name=name,
         generator=assembly,
-        accel_m_s2=sec.get_float("accel_m_s2"),
-        accel_tag=sec.get_str("accel_tag", "peak") or "peak",
-        freq_hz=sec.get_float("freq_hz"),
+        accel_m_s2=sec.get("accel_m_s2"),
+        accel_tag=sec.get("accel_tag", str, "peak"),
+        freq_hz=sec.get("freq_hz"),
         freq_sweep=_parse_sweep(sec, "freq", "linear"),
         load_sweep=_parse_sweep(sec, "load", "log"),
         sim=sim,
@@ -283,6 +271,10 @@ def _parse_text(text: str, origin: str) -> Catalog:
         cp.read_string(text, source=origin)
     except configparser.Error as err:
         raise ConfigError(f"{origin}: {err}") from err
+    if cp.defaults():
+        raise ConfigError(
+            f"{origin}: a [DEFAULT] section would add its keys to every section"
+        )
 
     materials: dict[str, MaterialProps] = {}
     devices: dict[str, DeviceRecord] = {}
@@ -305,12 +297,15 @@ def _parse_text(text: str, origin: str) -> Catalog:
             generators[name] = _parse_generator(sec, name)
         elif kind == "scenario":
             scenario_secs.append((sec, name))  # generators may come later
+            continue
         else:
             raise ConfigError(f"section [{section}] has unknown kind {kind!r}")
+        sec.reject_unread()
 
-    scenarios = {
-        name: _parse_scenario(sec, name, generators) for sec, name in scenario_secs
-    }
+    scenarios = {}
+    for sec, name in scenario_secs:
+        scenarios[name] = _parse_scenario(sec, name, generators)
+        sec.reject_unread()
     return Catalog(
         materials=materials,
         devices=devices,

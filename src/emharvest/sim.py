@@ -204,10 +204,17 @@ def simulate(
 
     The electrical damping coefficient is held constant over the run (a
     linear circuit model); load power is the averaged instantaneous
-    emf^2 * R_load / (R_load + R_coil)^2.  Runs whose displacement peaks
-    still drift by more than 1% per period at the end raise
-    SimulationNotSettled instead of returning a misleading summary.
+    emf^2 * R_load / (R_load + R_coil)^2.  That split has no coil current
+    state, so a closed circuit with inductance (l_coil_h > 0) raises
+    ValueError.  Runs whose displacement peaks still drift by more than 1%
+    per period at the end raise SimulationNotSettled instead of returning a
+    misleading summary.
     """
+    if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
+        raise ValueError(
+            "simulate cannot model coil inductance in a closed circuit; "
+            f"l_coil_h must be 0, got {c.l_coil_h}"
+        )
     w = e.omega_rad_per_s
     wn = natural_frequency(g)
     period = 2.0 * math.pi / max(w, wn)

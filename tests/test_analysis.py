@@ -128,6 +128,19 @@ class TestSweepCurve:
         with pytest.raises(ValueError, match="emf_rms_v"):
             SweepCurve.from_csv(str(path), 1.0)
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [("3", r"line 4, column emf_rms_v: the row is too short"),
+         ("3,big", r"line 4, column emf_rms_v: 'big' is not a number"),
+         (",0.9", r"line 4, column freq_hz: '' is not a number")],
+        ids=["short-row", "word", "empty-cell"],
+    )
+    def test_csv_bad_row_names_file_line_and_column(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"freq_hz,emf_rms_v\n1,0.1\n2,0.5\n{row}\n4,0.5\n5,0.1\n")
+        with pytest.raises(ValueError, match=f"bad.csv, {match}"):
+            SweepCurve.from_csv(str(path), 1.0)
+
     def test_csv_nan_cell_rejected(self, tmp_path):
         # a NaN magnitude used to be skipped by the half-power walk (Q ~ 0.73)
         path = tmp_path / "nan.csv"
@@ -260,6 +273,31 @@ class TestLoadSweep:
         ls = LoadSweep.from_csv(str(path))
         assert ls.r_load_ohm == (10.0, 100.0, 1000.0)
         assert ls.p_load_w == (1e-6, 2e-6, 1e-6)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [("100,2e-6", r"line 3, column p_total_w: the row is too short"),
+         ("100,2e-6,x", r"line 3, column p_total_w: 'x' is not a number")],
+        ids=["short-row", "word"],
+    )
+    def test_csv_bad_row_names_file_line_and_column(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"r_load_ohm,p_load_w,p_total_w\n10,1e-6,3e-6\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv, {match}"):
+            LoadSweep.from_csv(str(path))
+
+    def test_csv_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("r_load_ohm,p_load_w,p_total_w,p_load_w\n10,1e-6,3e-6,2e-6\n")
+        with pytest.raises(ValueError, match="repeated column.*p_load_w"):
+            LoadSweep.from_csv(str(path))
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "load.csv"
+        path.write_text("r_load_ohm,p_total_w,p_load_w\n\n10,3e-6,1e-6\n\n100,3e-6,2e-6\n")
+        ls = LoadSweep.from_csv(str(path))
+        assert ls.r_load_ohm == (10.0, 100.0)
+        assert ls.p_load_w == (1e-6, 2e-6)
 
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +143,30 @@ class TestModelCommand:
         assert main(["model", "--config", cfg, "--scenario", "silent"]) == 2
         assert key.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [("r_load_ohm = 150", "r_load_ohm = 150\ndisplacement_limit = 1e-5",
+          "[generator.bench] unknown or unused key(s): displacement_limit"),
+         ("accel_m_s2 = 0.0", "accel_m_s2 = 0.0\nmass_kg = 1.0",
+          "[scenario.silent] unknown or unused key(s): mass_kg")],
+        ids=["misspelled-key", "inline-key-beside-reference"],
+    )
+    def test_unread_catalog_key_exits_2(self, tmp_path, capsys, old, new, key):
+        cfg = bench_config(tmp_path, BENCH.replace(old, new))
+        assert main(["model", "--config", cfg, "--scenario", "silent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    def test_readme_catalog_example_runs(self, tmp_path, capsys):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        cfg = bench_config(tmp_path, block)
+        assert main(["model", "--config", cfg, "--scenario", "cantilever_nominal"]) == 0
+        from_readme = capsys.readouterr().out
+        assert main(["model", "--scenario", "cantilever_nominal"]) == 0
+        assert from_readme == capsys.readouterr().out
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["model", "--scenario", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -249,6 +275,16 @@ class TestSimulateCommand:
         assert code == 4
         assert "settle" in capsys.readouterr().err
 
+    def test_coil_inductance_exits_3(self, tmp_path, capsys):
+        text = BENCH.replace("r_load_ohm = 150", "r_load_ohm = 150\nl_coil_h = 1e-3")
+        cfg = bench_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--scenario", "bench_run"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "l_coil_h" in captured.err
+        # the closed form carries the inductance
+        assert main(["model", "--config", cfg, "--scenario", "bench_run"]) == 0
+
     def test_step_too_coarse_for_natural_period_exits_3(self, tmp_path, capsys):
         # drive at w_n / 100 with dt = (1 / 1.2 Hz) / 60: fine for the drive,
         # far too coarse for the 120 Hz natural period
@@ -306,6 +342,17 @@ class TestBeamCommand:
     def test_unknown_material_exits_2(self, capsys):
         assert main(self.ARGS + ["--materials", "unobtainium"]) == 2
         assert "unobtainium" in capsys.readouterr().err
+
+    def test_unknown_material_lists_available(self, capsys):
+        assert main(self.ARGS + ["--materials", "silicon,unobtainium"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown material 'unobtainium'; "
+            "available: beryllium_copper, silicon, stainless_302\n"
+        )
+
+    def test_empty_material_list_exits_2(self, capsys):
+        assert main(self.ARGS + ["--materials", " , "]) == 2
+        assert "no materials" in capsys.readouterr().err
 
     def test_bad_thickness_list_exits_2(self, capsys):
         argv = list(self.ARGS)

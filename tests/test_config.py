@@ -136,9 +136,53 @@ r_load_ohm = 20
         with pytest.raises(ConfigError, match=r"\[generator.unit\]"):
             load_catalog(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [("r_load_ohm = 150", "r_load_ohm = 150\ndisplacement_limit = 1e-3", "generator.unit",
+          "displacement_limit"),
+         ("density_kg_m3 = 7800", "density_kg_m3 = 7800\npoisson = 0.3", "material.steel",
+          "poisson"),
+         ("active_mass_kg = 1e-3", "active_mass_kg = 1e-3\nnote = x", "device.widget", "note"),
+         ("freq_points = 5", "freq_points = 5\nfreq_scal = log", "scenario.run", "freq_scal"),
+         ("generator = unit", "generator = unit\nmass_kg = 2e-3", "scenario.run", "mass_kg"),
+         ("freq_points = 5", "freq_points = 5\nsettle_fraction = 0.5", "scenario.run",
+          "settle_fraction")],
+        ids=["misspelled-generator-key", "misspelled-material-key", "device-extra-key",
+             "misspelled-scenario-key", "inline-key-beside-reference", "sim-key-without-sim"],
+    )
+    def test_unread_key_names_section_and_key(self, tmp_path, old, new, section, key):
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL
+        message = rf"\[{section}\] unknown or unused key\(s\): {key}$"
+        with pytest.raises(ConfigError, match=message):
+            load_catalog(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [("accel_tag = rms", "accel_tag =", "accel_tag must be in"),
+         ("freq_points = 5", "freq_points = 5\nfreq_scale =", "scale must be linear")],
+        ids=["accel-tag", "sweep-scale"],
+    )
+    def test_empty_choice_rejected(self, tmp_path, old, new, match):
+        # an empty value used to read as the default (peak, linear)
+        with pytest.raises(ConfigError, match=rf"\[scenario.run\] {match}"):
+            load_catalog(write(tmp_path, MINIMAL.replace(old, new)))
+
+    def test_default_section_rejected(self, tmp_path):
+        text = "[DEFAULT]\nr_load_ohm = 150\n" + MINIMAL.replace("r_load_ohm = 150\n", "")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            load_catalog(write(tmp_path, text))
+
+    def test_integer_key_rejects_a_float(self, tmp_path):
+        text = MINIMAL.replace("turns = 100", "turns = 1e2")
+        message = r"\[generator.unit\] turns = '1e2' is not an integer"
+        with pytest.raises(ConfigError, match=message):
+            load_catalog(write(tmp_path, text))
+
     def test_dangling_generator_reference(self, tmp_path):
         text = MINIMAL.replace("generator = unit", "generator = ghost")
-        with pytest.raises(ConfigError, match="ghost"):
+        message = r"\[scenario.run\] unknown generator 'ghost'; available: unit$"
+        with pytest.raises(ConfigError, match=message):
             load_catalog(write(tmp_path, text))
 
     def test_unknown_section_kind(self, tmp_path):

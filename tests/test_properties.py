@@ -1,5 +1,6 @@
-"""Property tests: the CLI turns any catalog number into a finite report or
-a documented exit code, never into a traceback; the closed-form response
+"""Property tests: the catalog reader turns any INI text into a catalog or a
+ConfigError; the CLI turns any catalog number into a finite report or a
+documented exit code, never into a traceback; the closed-form response
 keeps its power ordering, Y^2 scaling and agreement with its parts."""
 
 import math
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emharvest.cli import main
+from emharvest.config import Catalog, ConfigError, load_catalog
 from emharvest.model import (
     CoilCircuit,
     Excitation,
@@ -92,6 +94,103 @@ def test_cli_exit_codes_on_edge_values(edits):
                 with open(out, encoding="utf-8") as fh:
                     text = fh.read()
                 assert "nan" not in text and "inf" not in text
+
+
+# a valid catalog as (section, [(key, value), ...]); the fuzz edits it
+VALID = [
+    ("material.m", [("youngs_modulus_pa", "2e11"), ("density_kg_m3", "7800")]),
+    ("device.d", [("volume_mm3", "60"), ("active_mass_kg", "4.4e-4"),
+                  ("resonant_frequency_hz", "350"), ("measured_power_w", "2.85e-6"),
+                  ("measured_at_acceleration_m_s2", "3.0"), ("notes", "a note")]),
+    ("generator.g", [("mass_kg", "1e-3"), ("stiffness_n_per_m", "568.49"),
+                     ("zeta_parasitic", "0.05"), ("turns", "100"), ("side_length_m", "1e-3"),
+                     ("flux_density_t", "0.5"), ("r_coil_ohm", "50"), ("r_load_ohm", "150")]),
+    ("scenario.s", [("generator", "g"), ("accel_m_s2", "2.0"), ("freq_hz", "120"),
+                    ("freq_start", "100"), ("freq_stop", "140"), ("freq_points", "5"),
+                    ("dt_s", "1e-4"), ("duration_s", "0.8")]),
+    ("scenario.inline", [("accel_m_s2", "1.0"), ("freq_hz", "100"), ("mass_kg", "1e-3"),
+                         ("stiffness_n_per_m", "394.78"), ("zeta_parasitic", "0.02"),
+                         ("turns", "10"), ("side_length_m", "1e-3"), ("flux_density_t", "0.2"),
+                         ("r_coil_ohm", "10"), ("r_load_ohm", "20")]),
+]
+KNOWN_KEYS = sorted(
+    {key for _, lines in VALID for key, _ in lines}
+    | {"flux_density_t", "r_coil_ohm", "displacement_limit_m", "l_coil_h", "accel_tag",
+       "load_start", "load_stop", "load_points", "load_scale", "freq_scale",
+       "settle_fraction"}
+)
+MISSPELL = [lambda k: k[:-1], lambda k: k.replace("_", "", 1), lambda k: k + "s"]
+FUZZ_VALUES = st.sampled_from(
+    ["", "abc", "nan", "inf", "-inf", "-1", "0", "1", "1.5", "100", "1e-300", "1e300",
+     "1e400", "g", "ghost", "peak", "rms", "log", "linear", "3 ; comment"]
+)
+SECTION = st.integers(0, len(VALID) - 1)
+LINE = st.integers(0, 9)
+# each edit spoils one thing: a value, a key's spelling, a duplicate or
+# missing line, a key the section may or may not read, or a stray section
+FUZZ_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), SECTION, LINE, FUZZ_VALUES),
+        st.tuples(st.just("misspell"), SECTION, LINE, st.sampled_from(MISSPELL)),
+        st.tuples(st.just("duplicate"), SECTION, LINE),
+        st.tuples(st.just("drop"), SECTION, LINE),
+        st.tuples(st.just("add"), SECTION, st.sampled_from(KNOWN_KEYS), FUZZ_VALUES),
+        st.tuples(st.just("section"),
+                  st.sampled_from(["scenario.t", "generator.h", "DEFAULT", "material",
+                                   "oscillator.x", "material.", ".m", "device.d"]),
+                  st.dictionaries(st.sampled_from(KNOWN_KEYS), FUZZ_VALUES, max_size=3)),
+    ),
+    max_size=2,
+)
+
+
+def _fuzzed_ini(edits):
+    sections = [(name, list(lines)) for name, lines in VALID]
+    for op, where, *args in edits:
+        if op == "section":
+            sections.append((where, list(args[0].items())))
+            continue
+        lines = sections[where][1]
+        if op == "add":
+            lines.append(tuple(args))
+            continue
+        if not lines:
+            continue
+        i = args[0] % len(lines)
+        key, value = lines[i]
+        if op == "set":
+            lines[i] = (key, args[1])
+        elif op == "misspell":
+            lines[i] = (args[1](key), value)
+        elif op == "duplicate":
+            lines.append((key, value))
+        else:
+            del lines[i]
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in lines) + "\n"
+        for name, lines in sections
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(FUZZ_EDITS)
+def test_catalog_text_loads_or_raises_config_error(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_fuzzed_ini(edits))
+        try:
+            catalog = load_catalog(path)
+        except ConfigError:
+            return
+    assert isinstance(catalog, Catalog)
+    assert set(catalog.scenarios) <= {"s", "inline", "t"}
+
+
+def test_fuzz_base_catalog_loads(tmp_path):
+    path = tmp_path / "catalog.ini"
+    path.write_text(_fuzzed_ini([]))
+    assert set(load_catalog(str(path)).scenarios) == {"s", "inline"}
 
 
 def _log_uniform(lo_exp, hi_exp):

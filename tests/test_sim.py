@@ -172,6 +172,21 @@ class TestSimulate:
         with pytest.raises(ValueError, match="damping ratio"):
             simulate(g, dead_coil(), Excitation(1e-6, 100.0), SimConfig(1e-4, 1.0))
 
+    def test_coil_inductance_rejected(self):
+        # the load-power split has no coil current state, so with L > 0 it
+        # overstates load power (+100% at wL/R = 1) while amplitudes agree
+        g = make_gen()
+        c = CoilCircuit(turns=100, side_length_m=1e-3, flux_density_t=0.5,
+                        r_coil_ohm=50.0, l_coil_h=1e-3, r_load_ohm=150.0)
+        w = natural_frequency(g)
+        with pytest.raises(ValueError, match="l_coil_h"):
+            simulate(g, c, Excitation(1e-6, w), SimConfig.suggest(g, c, w))
+        # an open circuit carries no current, so there the inductance is moot
+        [(_, s_open)] = frequency_sweep_sim(g, c, [w], 3.0, open_circuit=True)
+        [(_, s_dead)] = frequency_sweep_sim(g, dead_coil(), [w], 3.0)
+        assert s_open.z_amp_m == s_dead.z_amp_m
+        assert s_open.p_load_avg_w == 0.0
+
     def test_trace_is_consistent(self):
         zeta = 0.05
         wn = 2.0 * math.pi * 9500.0
