@@ -273,11 +273,6 @@ def decompose_damping(q_loaded: float, q_open: float) -> DampingDecomposition:
     out negative.
     """
     _check_magnitudes((("q_loaded", q_loaded), ("q_open", q_open)))
-    if not q_open > q_loaded:
-        raise ValueError(
-            f"q_open ({q_open}) must exceed q_loaded ({q_loaded}); "
-            "electrical damping cannot be negative"
-        )
     return compose_q_factors(q_total=q_loaded, q_open_circuit=q_open)
 
 

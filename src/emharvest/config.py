@@ -31,6 +31,9 @@ __all__ = [
     "load_catalog",
 ]
 
+# the longest sweep a catalog may ask for; the bundled scenarios use <= 81
+_MAX_POINTS = 1_000_000
+
 
 class ConfigError(Exception):
     """Invalid or unresolvable configuration input."""
@@ -56,8 +59,8 @@ class SweepRange:
 
     def __post_init__(self) -> None:
         _check_magnitudes(nonnegative=(("start", self.start), ("stop", self.stop)))
-        if self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points}")
+        if not 1 <= self.points <= _MAX_POINTS:
+            raise ValueError(f"points must be in [1, {_MAX_POINTS}], got {self.points}")
         if self.points == 1:
             if self.stop != self.start:
                 raise ValueError("a one-point range needs stop == start")

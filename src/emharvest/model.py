@@ -247,11 +247,6 @@ def natural_frequency(g: GeneratorParams) -> float:
     return math.sqrt(g.stiffness_n_per_m / g.mass_kg)
 
 
-def _check_zeta_range(zeta_total: float) -> None:
-    if not 0.0 <= zeta_total < 1.0:
-        raise ValueError(f"zeta_total must be in [0, 1), got {zeta_total}")
-
-
 def displacement_response(
     g: GeneratorParams, zeta_total: float, e: Excitation
 ) -> tuple[float, float]:
@@ -261,39 +256,38 @@ def displacement_response(
     c_T = 2 m w_n zeta_total.  The phase branch is fixed to [0, pi] so it
     runs continuously from 0 (w << w_n) through pi/2 at resonance to pi.
 
-    zeta_total = 0 is accepted off resonance (finite undamped response) and
-    rejected at exact resonance, where the amplitude is unbounded.
+    Any zeta_total >= 0 is accepted, overdamped included; zeta_total = 0 is
+    rejected only at exact resonance, where the amplitude is unbounded.
     """
+    _check_magnitudes(nonnegative=(("zeta_total", zeta_total),))
     return _displacement(natural_frequency(g), zeta_total, e)
 
 
 def _displacement(wn: float, zeta_total: float, e: Excitation) -> tuple[float, float]:
-    _check_zeta_range(zeta_total)
     w = e.omega_rad_per_s
-    if zeta_total == 0.0 and w == wn:
-        raise ValueError("undamped response is unbounded at exact resonance")
-    num = e.amplitude_m * w * w
     den = math.hypot(wn * wn - w * w, 2.0 * zeta_total * wn * w)
+    # zero only undamped at exact resonance, or when both terms underflow
+    if den == 0.0:
+        raise ValueError("undamped response is unbounded at exact resonance")
     phase = math.atan2(2.0 * zeta_total * wn * w, wn * wn - w * w)
-    return num / den, phase
+    return e.amplitude_m * w * w / den, phase
 
 
 def dissipated_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> float:
     """Average power absorbed by the total damping at one frequency, watts.
 
-    Equals m zeta_T Y^2 r^3 w^3 / ((1 - r^2)^2 + (2 zeta_T r)^2) with
-    r = w / w_n; at resonance this reduces to the max_resonant_power value.
+    c_T (w z)^2 / 2 with c_T = 2 m w_n zeta_T and z the displacement_response
+    amplitude; at resonance this reduces to the max_resonant_power value.
     """
-    return _dissipated(g.mass_kg, natural_frequency(g), zeta_total, e)
+    _check_magnitudes((("zeta_total", zeta_total),))
+    wn = natural_frequency(g)
+    amp, _ = _displacement(wn, zeta_total, e)
+    return _dissipated(g.mass_kg, wn, zeta_total, e.omega_rad_per_s * amp)
 
 
-def _dissipated(mass_kg: float, wn: float, zeta_total: float, e: Excitation) -> float:
-    if not 0.0 < zeta_total < 1.0:
-        raise ValueError(f"zeta_total must be in (0, 1), got {zeta_total}")
-    w = e.omega_rad_per_s
-    r = w / wn
-    den = (1.0 - r * r) ** 2 + (2.0 * zeta_total * r) ** 2
-    return mass_kg * zeta_total * e.amplitude_m**2 * r**3 * w**3 / den
+def _dissipated(mass_kg: float, wn: float, zeta_total: float, v: float) -> float:
+    # c_T v^2 / 2 for peak velocity v; products, not **, so overflow reads inf
+    return mass_kg * zeta_total * wn * v * v
 
 
 def _require_resonant(g: GeneratorParams, e: Excitation) -> float:
@@ -513,7 +507,7 @@ def evaluate_response(
     z_mag = _impedance_magnitude(c, w)
     _, _, zeta_t = _damping(g, wn, c, z_mag)
     amp, phase = _displacement(wn, zeta_t, e)
-    p_diss = _dissipated(g.mass_kg, wn, zeta_t, e) if zeta_t > 0.0 else 0.0
+    p_diss = _dissipated(g.mass_kg, wn, zeta_t, w * amp)
     # series circuit: EMF drives R_load + R_coil (+ j w L_coil)
     emf_rms = c.coupling_v_s_per_m * amp * w / math.sqrt(2.0)
     if math.isinf(c.r_load_ohm):

@@ -305,7 +305,7 @@ def simulate(
     coupling = c.coupling_v_s_per_m
     emf_arr = coupling * v_arr
     emf_rms = coupling * v_rms
-    if math.isinf(c.r_load_ohm) or coupling == 0.0:
+    if math.isinf(c.r_load_ohm):
         p_load_arr = np.zeros_like(v_arr)
     else:
         p_load_arr = emf_arr * emf_arr * (

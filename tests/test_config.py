@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from emharvest.cli import main
 from emharvest.config import ConfigError, SweepRange, load_catalog
 from emharvest.model import natural_frequency
 
@@ -203,6 +204,15 @@ r_load_ohm = 20
         with pytest.raises(ConfigError, match="freq_points"):
             load_catalog(write(tmp_path, text))
 
+    def test_oversized_sweep_rejected_before_allocating(self, tmp_path):
+        text = MINIMAL.replace("freq_points = 5", "freq_points = 1000000000")
+        path = write(tmp_path, text)
+        message = r"\[scenario.run\] points must be in \[1, 1000000\], got 1000000000$"
+        with pytest.raises(ConfigError, match=message):
+            load_catalog(path)
+        assert main(["sweep", "--kind", "frequency", "--config", path,
+                     "--scenario", "run"]) == 2
+
     def test_dt_without_duration_rejected(self, tmp_path):
         text = MINIMAL + "dt_s = 1e-4\n"
         with pytest.raises(ConfigError, match="duration_s"):
@@ -236,6 +246,7 @@ class TestSweepRange:
             dict(start=1.0, stop=10.0, points=5, scale="cubic"),
             dict(start=-math.inf, stop=10.0, points=5),
             dict(start=1.0, stop=math.inf, points=5, scale="log"),
+            dict(start=5.0, stop=6.0, points=1_000_001),
         ],
     )
     def test_rejects_degenerate_ranges(self, kwargs):

@@ -123,6 +123,12 @@ class TestDisplacementResponse:
         with pytest.raises(ValueError, match="unbounded"):
             displacement_response(g, 0.0, Excitation(1e-3, 10.0))
 
+    def test_underflowed_damping_at_resonance_rejected(self):
+        # 2 zeta w_n w underflows to 0, which is as unbounded as zeta = 0
+        g = make_gen(wn=0.1)
+        with pytest.raises(ValueError, match="unbounded"):
+            displacement_response(g, math.ulp(0.0), Excitation(1e-3, natural_frequency(g)))
+
     @pytest.mark.parametrize("zeta", [0.01, 0.1, 0.5])
     def test_phase_monotone_and_half_pi_at_resonance(self, zeta):
         wn = 2.0 * math.pi * 50.0
@@ -599,3 +605,28 @@ class TestEvaluateResponse:
         assert rp.z_amplitude_m == 0.0
         assert rp.p_load_w == 0.0
         assert rp.v_load_rms_v == 0.0
+
+    def test_overdamped_design_is_evaluated(self):
+        # zeta_t ~ 1.3: the steady-state closed form holds past critical damping
+        g = GeneratorParams(1e-3, 568.489, 0.01)
+        c = CoilCircuit(2000, 1e-2, 1.0, 50.0, r_load_ohm=150.0)
+        e = Excitation(1e-6, 2.0 * math.pi * 120.0)
+        zeta_t = total_damping(g, c, e.omega_rad_per_s)[2]
+        assert zeta_t > 1.0
+        rp = evaluate_response(g, c, e)
+        assert (rp.z_amplitude_m, rp.phase_rad) == displacement_response(g, zeta_t, e)
+        assert rp.p_dissipated_w == dissipated_power(g, zeta_t, e)
+        assert rp.p_total_electrical_w <= rp.p_dissipated_w
+
+    @pytest.mark.parametrize(
+        "circuit, w",
+        [(CoilCircuit(1, 1e-2, 1.06e-103, 0.0, r_load_ohm=1.0), 10.0),
+         (CoilCircuit(1, 1e-4, 1.0, 0.0, r_load_ohm=1.0), 10.000000000023025)],
+        ids=["zeta-1e-207-at-resonance", "q-1e8-near-resonance"],
+    )
+    def test_extreme_q_keeps_power_ordering(self, circuit, w):
+        # once a ZeroDivisionError and a 1.6e-11 overshoot of the electrical
+        # power over the dissipated power; every power now shares one amplitude
+        rp = evaluate_response(GeneratorParams(0.1, 10.0, 0.0), circuit, Excitation(1e-3, w))
+        assert rp.p_load_w <= rp.p_total_electrical_w * (1.0 + 1e-12)
+        assert rp.p_total_electrical_w <= rp.p_dissipated_w * (1.0 + 1e-12)

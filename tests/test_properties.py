@@ -1,24 +1,30 @@
 """Property tests: the catalog reader turns any INI text into a catalog or a
 ConfigError; the CLI turns any catalog number into a finite report or a
 documented exit code, never into a traceback; the closed-form response
-keeps its power ordering, Y^2 scaling and agreement with its parts."""
+keeps its power ordering, Y^2 scaling and agreement with its parts, and
+reproduces the Q composition, load optimum and half-power Q."""
 
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emharvest.analysis import SweepCurve, extract_q_half_power
 from emharvest.cli import main
 from emharvest.config import Catalog, ConfigError, load_catalog
 from emharvest.model import (
     CoilCircuit,
     Excitation,
     GeneratorParams,
+    compose_q_factors,
+    damping_coefficient_from_ratio,
     displacement_response,
     evaluate_response,
     natural_frequency,
+    optimal_load,
     total_damping,
 )
 
@@ -199,29 +205,46 @@ def _log_uniform(lo_exp, hi_exp):
 
 @st.composite
 def designs(draw):
-    """A valid generator, circuit (inductance included) and drive within a
-    factor sqrt(10) of resonance, with a total damping ratio in [1e-3, 1)."""
+    """A valid generator, circuit (inductance included) and drive, with a
+    total damping ratio of at least 1e-12, overdamped included.  The drive is within a factor sqrt(10)
+    of resonance, or detuned from it by 1e-14 to 0.3 of w_n."""
     mass = draw(_log_uniform(-5, -1))
     wn = draw(_log_uniform(1, 4))
     g = GeneratorParams(
         mass_kg=mass,
         stiffness_n_per_m=mass * wn * wn,
-        zeta_parasitic=draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.2))),
+        zeta_parasitic=draw(st.one_of(st.just(0.0), _log_uniform(-12, -0.7))),
     )
     c = CoilCircuit(
         turns=draw(st.integers(0, 2000)),
         side_length_m=draw(_log_uniform(-4, -2)),
-        flux_density_t=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.5))),
+        flux_density_t=draw(st.one_of(st.just(0.0), _log_uniform(-8, 0.17))),
         r_coil_ohm=draw(st.floats(0.0, 1e3)),
         l_coil_h=draw(st.one_of(st.just(0.0), _log_uniform(-6, 0))),
         r_load_ohm=draw(_log_uniform(0, 5)),
     )
-    w = natural_frequency(g) * draw(_log_uniform(-0.5, 0.5))
-    # Q_T <= 500: at Q_T ~ 1e8 near resonance the two power routes round
-    # apart by more than the 1e-12 slack, (1 - r^2) and (w_n^2 - w^2)
-    # cancelling differently
-    assume(1e-3 <= total_damping(g, c, w)[2] < 1.0)
+    detuning = st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(-14, -0.52)).map(
+        lambda sd: 1.0 + sd[0] * sd[1]
+    )
+    w = natural_frequency(g) * draw(st.one_of(_log_uniform(-0.5, 0.5), detuning))
+    assume(total_damping(g, c, w)[2] >= 1e-12)
     return g, c, Excitation(amplitude_m=draw(_log_uniform(-9, -3)), omega_rad_per_s=w)
+
+
+@st.composite
+def resistive_designs(draw):
+    """A generator and an L = 0 circuit with parasitic and electrical damping
+    ratios each in [1e-6, 0.025]; the flux density is solved from the latter."""
+    mass = draw(_log_uniform(-5, -1))
+    wn = draw(_log_uniform(1, 4))
+    g = GeneratorParams(mass, mass * wn * wn, draw(_log_uniform(-6, -1.6)))
+    turns = draw(st.integers(1, 2000))
+    side = draw(_log_uniform(-4, -2))
+    r_coil = draw(st.floats(0.0, 1e3))
+    r_load = draw(_log_uniform(0, 5))
+    c_e = 2.0 * mass * wn * draw(_log_uniform(-6, -1.6))
+    flux = math.sqrt(c_e * (r_load + r_coil)) / (turns * side)
+    return g, CoilCircuit(turns, side, flux, r_coil, r_load_ohm=r_load)
 
 
 CLOSED_FORM = settings(derandomize=True, max_examples=120, deadline=None, database=None)
@@ -255,3 +278,43 @@ def test_motion_equals_its_parts(design):
     rp = evaluate_response(g, c, e)
     zeta_t = total_damping(g, c, e.omega_rad_per_s)[2]
     assert (rp.z_amplitude_m, rp.phase_rad) == displacement_response(g, zeta_t, e)
+
+
+@CLOSED_FORM
+@given(_log_uniform(0, 4), _log_uniform(0, 4))
+def test_q_factors_round_trip(q_open, q_electrical):
+    d = compose_q_factors(q_open_circuit=q_open, q_electrical=q_electrical)
+    for pair in ({"q_open_circuit": d.q_open_circuit}, {"q_electrical": d.q_electrical}):
+        back = compose_q_factors(q_total=d.q_total, **pair)
+        assert math.isclose(back.q_open_circuit, q_open, rel_tol=1e-9)
+        assert math.isclose(back.q_electrical, q_electrical, rel_tol=1e-9)
+
+
+@CLOSED_FORM
+@given(resistive_designs())
+def test_matched_load_beats_its_neighbours(design):
+    g, c = design
+    r_opt = optimal_load(c, damping_coefficient_from_ratio(g.zeta_parasitic, g))
+    e = Excitation(1e-6, natural_frequency(g))
+
+    def p_load(r_load):
+        return evaluate_response(g, replace(c, r_load_ohm=r_load), e).p_load_w
+
+    best = p_load(r_opt)
+    assert best > p_load(0.99 * r_opt)
+    assert best > p_load(1.01 * r_opt)
+
+
+@CLOSED_FORM
+@given(resistive_designs())
+def test_half_power_q_from_closed_form_sweep(design):
+    g, c = design
+    wn = natural_frequency(g)
+    zeta_t = total_damping(g, c, wn)[2]
+    f0 = wn / (2.0 * math.pi)
+    # 241 points across five half-power bandwidths either side of f0
+    freqs = [f0 * (1.0 + zeta_t * (i - 120) / 12.0) for i in range(241)]
+    mags = [evaluate_response(g, c, Excitation(1e-6, 2.0 * math.pi * f)).z_amplitude_m
+            for f in freqs]
+    q, _ = extract_q_half_power(SweepCurve(tuple(freqs), tuple(mags), "m", 1.0, "peak"))
+    assert abs(q * 2.0 * zeta_t - 1.0) <= 0.02
