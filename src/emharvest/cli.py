@@ -235,15 +235,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "model": _cmd_model,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "beam": _cmd_beam,
-    "compare": _cmd_compare,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emharvest",
@@ -267,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "model",
         parents=[scenario_common],
         help="closed-form steady-state report for one scenario",
-    )
+    ).set_defaults(run=_cmd_model)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -275,12 +266,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="frequency or load-resistance sweep CSV",
     )
     p_sweep.add_argument("--kind", choices=("frequency", "load"), required=True)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
-    sub.add_parser(
-        "simulate",
-        parents=[scenario_common],
-        help="time-domain run; --out writes the full trace CSV",
+    sim_help = (
+        "time-domain run of an underdamped design (total damping ratio < 1; "
+        "model and sweep cover >= 1); --out writes the full trace CSV"
     )
+    sub.add_parser(
+        "simulate", parents=[scenario_common], help=sim_help, description=sim_help
+    ).set_defaults(run=_cmd_simulate)
 
     p_beam = sub.add_parser(
         "beam",
@@ -301,6 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--materials",
         help="comma-separated material names (default: all, name order)",
     )
+    p_beam.set_defaults(run=_cmd_beam)
 
     p_cmp = sub.add_parser(
         "compare",
@@ -314,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="target_accel",
         help="base acceleration to normalize to, m/s^2 (default 3.0)",
     )
+    p_cmp.set_defaults(run=_cmd_compare)
 
     return parser
 
@@ -321,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -83,6 +83,10 @@ class GeneratorParams:
         if self.displacement_limit_m is not None:
             positive.append(("displacement_limit_m", self.displacement_limit_m))
         _check_magnitudes(positive)
+        # k/m itself must stay in range, or w_n reads 0 or inf
+        _check_magnitudes(
+            (("stiffness_n_per_m / mass_kg", self.stiffness_n_per_m / self.mass_kg),)
+        )
         if not 0.0 <= self.zeta_parasitic < 1.0:
             raise ValueError(
                 f"zeta_parasitic must be in [0, 1), got {self.zeta_parasitic}"
@@ -161,7 +165,12 @@ class Excitation:
             raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),), (("accel_m_s2", accel_m_s2),))
         peak = accel_m_s2 * math.sqrt(2.0) if convention == "rms" else accel_m_s2
-        return cls(amplitude_m=peak / omega_rad_per_s**2, omega_rad_per_s=omega_rad_per_s)
+        try:
+            amplitude = peak / omega_rad_per_s**2
+        except ArithmeticError as err:  # w**2 overflows, or underflows to 0
+            raise ValueError(f"omega_rad_per_s**2 out of range, got {omega_rad_per_s}") from err
+        # an amplitude that overflows to inf is rejected by __post_init__
+        return cls(amplitude_m=amplitude, omega_rad_per_s=omega_rad_per_s)
 
 
 @dataclass(frozen=True)
@@ -303,11 +312,10 @@ def _require_resonant(g: GeneratorParams, e: Excitation) -> float:
 def max_resonant_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> float:
     """Total power absorbed when driven exactly at resonance, watts.
 
-    m Y^2 w_n^3 / (4 zeta_T).  Linear in mass, cubic in frequency at fixed
-    base amplitude.
+    m Y^2 w_n^3 / (4 zeta_T), exact for any zeta_T > 0, overdamped included.
+    Linear in mass, cubic in frequency at fixed base amplitude.
     """
-    if not 0.0 < zeta_total < 1.0:
-        raise ValueError(f"zeta_total must be in (0, 1), got {zeta_total}")
+    _check_magnitudes((("zeta_total", zeta_total),))
     wn = _require_resonant(g, e)
     return g.mass_kg * e.amplitude_m**2 * wn**3 / (4.0 * zeta_total)
 
@@ -470,8 +478,7 @@ def base_amplitude_from_acceleration(accel_m_s2: float, omega_rad_per_s: float) 
     The conversion is linear, so the amplitude keeps the convention of the
     input (peak in, peak out; RMS in, RMS out).
     """
-    _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),), (("accel_m_s2", accel_m_s2),))
-    return accel_m_s2 / omega_rad_per_s**2
+    return Excitation.from_acceleration(accel_m_s2, omega_rad_per_s).amplitude_m
 
 
 def load_voltage_from_power(p_load_w: float, r_load_ohm: float) -> float:

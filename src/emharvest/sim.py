@@ -209,6 +209,10 @@ def simulate(
     ValueError.  Runs whose displacement peaks still drift by more than 1%
     per period at the end raise SimulationNotSettled instead of returning a
     misleading summary.
+
+    Only underdamped designs run: the settling and drift checks assume a
+    ringing response, so zeta_T >= 1 raises ValueError; evaluate_response
+    (the CLI's model and sweep) covers zeta_T >= 1.
     """
     if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
         raise ValueError(
@@ -225,7 +229,9 @@ def simulate(
         )
     c_p, c_e, zeta_t = total_damping(g, c, w)
     if not 0.0 < zeta_t < 1.0:
-        raise ValueError(f"total damping ratio must be in (0, 1), got {zeta_t}")
+        raise ValueError(
+            f"total damping ratio must be in (0, 1), got {zeta_t}; model and sweep cover >= 1"
+        )
     q_t = 1.0 / (2.0 * zeta_t)
     if q_t > 200.0 and cfg.duration_s < 10.0 * (2.0 * q_t / wn):
         warnings.warn(

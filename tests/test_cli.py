@@ -285,6 +285,22 @@ class TestSimulateCommand:
         # the closed form carries the inductance
         assert main(["model", "--config", cfg, "--scenario", "bench_run"]) == 0
 
+    def test_overdamped_design_exits_3(self, tmp_path, capsys):
+        # the cantilever with a strong coil: zeta_T ~ 1.07
+        text = (
+            RUSHED.replace("turns = 600", "turns = 2000")
+            .replace("side_length_m = 6.547452702628663e-4", "side_length_m = 1e-2")
+            .replace("flux_density_t = 0.41", "flux_density_t = 1")
+        )
+        cfg = bench_config(tmp_path, text)
+        assert main(["model", "--config", cfg, "--scenario", "rushed"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--scenario", "rushed"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total damping ratio" in captured.err
+        assert "model and sweep" in captured.err
+
     def test_step_too_coarse_for_natural_period_exits_3(self, tmp_path, capsys):
         # drive at w_n / 100 with dt = (1 / 1.2 Hz) / 60: fine for the drive,
         # far too coarse for the 120 Hz natural period

@@ -252,3 +252,15 @@ class TestSweepRange:
     def test_rejects_degenerate_ranges(self, kwargs):
         with pytest.raises(ValueError):
             SweepRange(**kwargs)
+
+
+def test_package_namespace_is_the_submodules_all():
+    import emharvest
+    from emharvest import analysis, beam, config, model, sim
+
+    modules = (analysis, beam, config, model, sim)
+    assert emharvest.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(emharvest.__all__)) == len(emharvest.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(emharvest, name) is getattr(m, name)

@@ -67,6 +67,12 @@ class TestGeneratorParams:
         with pytest.raises(ValueError, match=field):
             GeneratorParams(**kwargs)
 
+    @pytest.mark.parametrize("mass, stiffness", [(1e300, 1e-100), (1e-100, 1e300)])
+    def test_rejects_k_over_m_outside_float_range(self, mass, stiffness):
+        # k/m underflows to 0 (w_n = 0) or overflows to inf
+        with pytest.raises(ValueError, match="stiffness_n_per_m / mass_kg"):
+            GeneratorParams(mass, stiffness, 0.0)
+
     def test_limit_optional(self):
         g = GeneratorParams(1.0, 1.0, 0.1)
         assert g.displacement_limit_m is None
@@ -164,6 +170,7 @@ class TestDissipatedPower:
             (1e-3, 0.01, 1e-6, 2.0 * math.pi * 100.0),
             (4.4e-4, 0.0023, 6.2e-7, 2.0 * math.pi * 350.0),
             (0.085, 0.1, 1e-4, 2.0 * math.pi * 50.0),
+            (1e-3, 1.5, 1e-6, 2.0 * math.pi * 100.0),
         ],
     )
     def test_equals_resonant_power_at_wn(self, mass, zeta, amp, wn):
@@ -474,6 +481,16 @@ class TestExcitation:
     def test_non_finite_acceleration_rejected(self, accel):
         with pytest.raises(ValueError, match="accel_m_s2"):
             Excitation.from_acceleration(accel, 100.0)
+
+    @pytest.mark.parametrize("func, accel, omega", [
+        (Excitation.from_acceleration, 0.5, 1e-320),  # w**2 underflows to 0
+        (Excitation.from_acceleration, 1e-9, 1.7e308),  # w**2 overflows
+        (base_amplitude_from_acceleration, 1.0, 1.7e308),
+        (base_amplitude_from_acceleration, 1.0, 1e-160),  # A / w**2 overflows
+    ])
+    def test_omega_squared_outside_float_range_rejected(self, func, accel, omega):
+        with pytest.raises(ValueError):
+            func(accel, omega)
 
     def test_zero_frequency_rejected_before_dividing(self):
         with pytest.raises(ValueError, match="omega_rad_per_s must be > 0"):
