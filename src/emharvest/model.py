@@ -63,6 +63,18 @@ def _check_magnitudes(
             raise ValueError(f"{name} must be >= 0 and finite, got {x}")
 
 
+def _pow(x: float, n: int) -> float:
+    """x**n, reading overflow as inf the way a product does.
+
+    A float ** raises OverflowError where * and / give inf, so a closed-form
+    result computed with both goes through one range check either way.
+    """
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Lumped mechanical parameters of the spring-mass resonator.
@@ -149,7 +161,9 @@ class Excitation:
     @property
     def acceleration_m_s2(self) -> float:
         """Peak base acceleration amplitude, w^2 * Y."""
-        return self.omega_rad_per_s**2 * self.amplitude_m
+        accel = _pow(self.omega_rad_per_s, 2) * self.amplitude_m
+        _check_magnitudes(nonnegative=(("acceleration_m_s2", accel),))
+        return accel
 
     @classmethod
     def from_acceleration(
@@ -317,7 +331,9 @@ def max_resonant_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> 
     """
     _check_magnitudes((("zeta_total", zeta_total),))
     wn = _require_resonant(g, e)
-    return g.mass_kg * e.amplitude_m**2 * wn**3 / (4.0 * zeta_total)
+    p = g.mass_kg * _pow(e.amplitude_m, 2) * _pow(wn, 3) / (4.0 * zeta_total)
+    _check_magnitudes(nonnegative=(("max_resonant_power", p),))
+    return p
 
 
 def load_power(
@@ -333,10 +349,12 @@ def load_power(
     if zeta_p + zeta_e <= 0.0:
         raise ValueError("zeta_p + zeta_e must be > 0")
     wn = _require_resonant(g, e)
-    return (
-        g.mass_kg * zeta_e * e.amplitude_m**2 * wn**3
-        / (4.0 * (zeta_p + zeta_e) ** 2)
-    )
+    num = g.mass_kg * zeta_e * _pow(e.amplitude_m, 2) * _pow(wn, 3)
+    den = 4.0 * _pow(zeta_p + zeta_e, 2)
+    # den underflows to 0 below zeta ~1e-154: no float quotient, so out of range
+    p = num / den if den > 0.0 else math.inf
+    _check_magnitudes(nonnegative=(("load_power", p),))
+    return p
 
 
 def _impedance_magnitude(c: CoilCircuit, omega_rad_per_s: float) -> float:
@@ -415,10 +433,13 @@ def max_avg_load_power(
         (("r_coil_ohm", r_coil_ohm),),
     )
     wn = _require_resonant(g, e)
-    return (
-        g.mass_kg * wn**3 * e.amplitude_m**2 / (16.0 * zeta_p)
+    p = (
+        g.mass_kg * _pow(wn, 3) * _pow(e.amplitude_m, 2) / (16.0 * zeta_p)
         * (1.0 - r_coil_ohm / r_load_ohm)
     )
+    # the range only: r_load_ohm < r_coil_ohm gives a negative figure
+    _check_magnitudes(nonnegative=(("|max_avg_load_power|", abs(p)),))
+    return p
 
 
 def compose_q_factors(

@@ -7,6 +7,7 @@ to be infinite is CoilCircuit.r_load_ohm = inf, the open circuit.
 """
 
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,7 @@ from emharvest.model import (
     load_power,
     load_voltage_from_power,
     max_avg_load_power,
+    max_resonant_power,
     natural_frequency,
     optimal_load,
 )
@@ -234,3 +236,37 @@ def test_open_circuit_load_is_the_one_allowed_infinity():
     c = CoilCircuit(turns=10, side_length_m=1e-3, flux_density_t=0.5, r_coil_ohm=1.0,
                     r_load_ohm=math.inf)
     assert c.r_load_ohm == math.inf
+
+
+# Finite arguments whose closed-form result leaves the float range, through
+# a float ** (OverflowError) or through a product or quotient (inf): either
+# way the one range rule raises ValueError naming the result.
+G_1E220 = GeneratorParams(1.0, 1e220, 0.0)  # w_n = 1e110: w_n**3 overflows
+E_1E220 = Excitation(1e-6, natural_frequency(G_1E220))
+G_1E200 = GeneratorParams(1.0, 1e200, 0.0)  # w_n**3 = 1e300, finite
+E_1E200 = Excitation(1e10, natural_frequency(G_1E200))
+OUT_OF_RANGE = {
+    "max_resonant_power-pow": (
+        lambda: max_resonant_power(G_1E220, 0.01, E_1E220), "max_resonant_power"),
+    "max_resonant_power-product": (
+        lambda: max_resonant_power(G_1E200, 1e-300, E_1E200), "max_resonant_power"),
+    "load_power-pow": (
+        lambda: load_power(G_1E220, 0.01, 0.01, E_1E220), "load_power"),
+    "load_power-product": (
+        lambda: load_power(G_1E200, 1e-300, 1e-300, E_1E200), "load_power"),
+    "max_avg_load_power-pow": (
+        lambda: max_avg_load_power(G_1E220, 0.01, E_1E220, 1.0, 10.0), "max_avg_load_power"),
+    "max_avg_load_power-product": (
+        lambda: max_avg_load_power(G_1E200, 1e-300, E_1E200, 1.0, 10.0), "max_avg_load_power"),
+    "acceleration_m_s2-pow": (
+        lambda: Excitation(1e-6, 1e200).acceleration_m_s2, "acceleration_m_s2"),
+    "acceleration_m_s2-product": (
+        lambda: Excitation(1e10, 1e150).acceleration_m_s2, "acceleration_m_s2"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_result_out_of_float_range_rejected(case):
+    call, name = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=re.escape(name) + ".*finite"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -247,6 +248,28 @@ class TestLoadPower:
         g = make_gen(wn=100.0)
         with pytest.raises(ValueError):
             load_power(g, 0.0, 0.0, Excitation(1e-6, 100.0))
+
+
+class TestResonantPowerBits:
+    # the range check around them must not move a finite result by one bit
+    @pytest.mark.parametrize("seed", range(5))
+    def test_in_range_results_equal_the_power_formulas(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            g = make_gen(mass=10.0 ** rng.uniform(-6, 1), wn=10.0 ** rng.uniform(0, 5))
+            wn = natural_frequency(g)
+            e = Excitation(10.0 ** rng.uniform(-9, -3), wn)
+            zp, ze = 10.0 ** rng.uniform(-4, -1), 10.0 ** rng.uniform(-4, -1)
+            rc, rl = rng.uniform(0.0, 100.0), rng.uniform(100.0, 1e4)
+            y = e.amplitude_m
+            assert max_resonant_power(g, zp, e) == g.mass_kg * y**2 * wn**3 / (4.0 * zp)
+            assert load_power(g, zp, ze, e) == (
+                g.mass_kg * ze * y**2 * wn**3 / (4.0 * (zp + ze) ** 2)
+            )
+            assert max_avg_load_power(g, zp, e, rc, rl) == (
+                g.mass_kg * wn**3 * y**2 / (16.0 * zp) * (1.0 - rc / rl)
+            )
+            assert e.acceleration_m_s2 == wn**2 * y
 
 
 class TestCoilCircuit:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emharvest import sim
 from emharvest.analysis import SweepCurve, extract_q_half_power
 from emharvest.model import (
     CoilCircuit,
@@ -15,6 +17,7 @@ from emharvest.sim import (
     SimConfig,
     SimulationNotSettled,
     SweepPointError,
+    _rk4,
     frequency_sweep_sim,
     simulate,
 )
@@ -211,6 +214,86 @@ class TestSimulate:
         s_open = simulate(g, dead_coil(), e, cfg)
         s_loaded = simulate(g, live_coil(), e, cfg)
         assert s_loaded.z_amp_m < s_open.z_amp_m
+
+
+def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
+    """The per-step form of sim._rk4: math.sin at every step, states kept in
+    whole-run lists.  The blocked loop must reproduce it bit for bit."""
+    sin = math.sin
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    z = 0.0
+    v = 0.0
+    zs = [0.0]
+    vs = [0.0]
+    for i in range(len(t) - 1):
+        t0 = i * dt
+        f0 = forcing * sin(w * t0)
+        fm = forcing * sin(w * (t0 + half))
+        f1 = forcing * sin(w * (t0 + dt))
+        a1 = f0 - two_zw * v - wn2 * z
+        z2 = z + half * v
+        v2 = v + half * a1
+        a2 = fm - two_zw * v2 - wn2 * z2
+        z3 = z + half * v2
+        v3 = v + half * a2
+        a3 = fm - two_zw * v3 - wn2 * z3
+        z4 = z + dt * v3
+        v4 = v + dt * a3
+        a4 = f1 - two_zw * v4 - wn2 * z4
+        z += sixth * (v + 2.0 * (v2 + v3) + v4)
+        v += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        zs.append(z)
+        vs.append(v)
+    return np.asarray(zs), np.asarray(vs)
+
+
+class TestBlockedDrive:
+    MISMATCH = (
+        "blocked RK4 trace differs from the per-step math.sin form; "
+        "np.sin and math.sin do not give the same bits on this build"
+    )
+
+    @staticmethod
+    def _run(monkeypatch, rk4, g, c, e, cfg):
+        """simulate with rk4 as its integrator: the (z, z') it produced and
+        simulate's (summary, trace), or None if the run cannot settle."""
+        seen = []
+
+        def recording(*args):
+            seen.append(rk4(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(sim, "_rk4", recording)
+        try:
+            result = simulate(g, c, e, cfg, return_trace=True)
+        except SimulationNotSettled:
+            result = None
+        [zv] = seen
+        return zv, result
+
+    # one partial block, a block short, exact, one over, two blocks and a step
+    @pytest.mark.parametrize("n_steps", [11, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("open_circuit", [False, True])
+    def test_trace_and_summary_equal_per_step_form(self, monkeypatch, n_steps, open_circuit):
+        g = make_gen()
+        c = replace(live_coil(), r_load_ohm=math.inf) if open_circuit else live_coil()
+        w = 1.1 * natural_frequency(g)
+        dt = 2.0 * math.pi / w / 64.0
+        cfg = SimConfig(dt, n_steps * dt)
+        assert cfg.n_steps == n_steps
+        e = Excitation(1e-6, w)
+        ref_zv, ref = self._run(monkeypatch, per_step_rk4, g, c, e, cfg)
+        new_zv, new = self._run(monkeypatch, _rk4, g, c, e, cfg)
+        for ref_arr, new_arr in zip(ref_zv, new_zv):
+            assert new_arr.tobytes() == ref_arr.tobytes(), self.MISMATCH
+        if n_steps < 64:  # under a drive period: no two peaks to settle on
+            assert ref is None and new is None
+            return
+        (ref_s, ref_tr), (new_s, new_tr) = ref, new
+        assert new_tr.z_m.tobytes() == ref_tr.z_m.tobytes(), self.MISMATCH
+        assert new_tr.zdot_m_s.tobytes() == ref_tr.zdot_m_s.tobytes(), self.MISMATCH
+        assert new_s == ref_s, self.MISMATCH
 
 
 class TestFrequencySweep:
