@@ -426,19 +426,19 @@ def max_avg_load_power(
 
     (m w_n^3 Y^2 / (16 zeta_p)) * (1 - R_coil / R_load), valid at the
     optimal load resistance.  A lossless coil (R_coil = 0) leaves the full
-    m w_n^3 Y^2 / (16 zeta_p).
+    m w_n^3 Y^2 / (16 zeta_p).  The optimal load is never below R_coil, so
+    R_load < R_coil, where the formula would go negative, is rejected.
     """
     _check_magnitudes(
         (("zeta_p", zeta_p), ("r_load_ohm", r_load_ohm)),
-        (("r_coil_ohm", r_coil_ohm),),
+        (("r_coil_ohm", r_coil_ohm), ("r_load_ohm - r_coil_ohm", r_load_ohm - r_coil_ohm)),
     )
     wn = _require_resonant(g, e)
     p = (
         g.mass_kg * _pow(wn, 3) * _pow(e.amplitude_m, 2) / (16.0 * zeta_p)
         * (1.0 - r_coil_ohm / r_load_ohm)
     )
-    # the range only: r_load_ohm < r_coil_ohm gives a negative figure
-    _check_magnitudes(nonnegative=(("|max_avg_load_power|", abs(p)),))
+    _check_magnitudes(nonnegative=(("max_avg_load_power", p),))
     return p
 
 

@@ -179,14 +179,19 @@ def _refined_peaks(zw: np.ndarray) -> list[float]:
 
 
 def _fit_phase(tw: np.ndarray, zw: np.ndarray, w: float) -> float:
-    """Phase lag of zw behind sin(w t), from a least-squares sinusoid fit."""
+    """Phase lag of zw behind sin(w t), from a least-squares sinusoid fit.
+
+    The sums are numpy's own pairwise reductions, not np.dot: the bits of a
+    BLAS dot product, and its cost on a window this long, depend on how
+    many threads the BLAS runs.
+    """
     sw = np.sin(w * tw)
     cw = np.cos(w * tw)
-    sss = float(np.dot(sw, sw))
-    scc = float(np.dot(cw, cw))
-    ssc = float(np.dot(sw, cw))
-    bs = float(np.dot(zw, sw))
-    bc = float(np.dot(zw, cw))
+    sss = float(np.sum(sw * sw))
+    scc = float(np.sum(cw * cw))
+    ssc = float(np.sum(sw * cw))
+    bs = float(np.sum(zw * sw))
+    bc = float(np.sum(zw * cw))
     det = sss * scc - ssc * ssc
     a_fit = (bs * scc - bc * ssc) / det
     b_fit = (bc * sss - bs * ssc) / det

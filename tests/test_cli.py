@@ -6,7 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from emharvest._csvrows import format_rows
 from emharvest.cli import _NUM, _emit_csv, main
 
 BENCH = """
@@ -448,6 +452,76 @@ def test_csv_writer_matches_row_reference_across_blocks(tmp_path, capsys, n_rows
     _emit_csv(names, columns, str(path) if to_file else None)
     written = path.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
     assert written == _reference_csv(names, columns).encode("utf-8")
+
+
+def _percent_rows(block):
+    """A 2-D block as the writer's ``%`` line formats it."""
+    row = ",".join([_NUM] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
+# the edges of what format_rows can prove: signed zeros, subnormals,
+# 3-digit exponents either side of its limit, exact ties of the 9th digit,
+# values one rounding below the next decade, and the non-finite values
+EDGES = [
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e-291, 1e-290, 9.99e290,
+    1e291, 1.7976931348623157e308, 9.9999999996e-3, -9.99999999951, 9.999999995e99,
+    100000000.5, 100000001.5, -0.5, 2.5, 1.0000000005, 123456789.5e-200,
+    math.nan, math.inf, -math.inf,
+]
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGES),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(-9.999, 9.999), st.integers(-300, 300)),
+)
+# the nearest double to a 9-digit decimal is far from every rounding tie,
+# so the kernel has no reason to decline it
+NINE_DIGITS = st.builds(
+    lambda sign, digits, k: sign * float(f"{digits}e{k - 8}"),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(10**8, 10**9 - 1),
+    st.integers(-290, 290),
+) | st.sampled_from([0.0, -0.0])
+BLOCKS = dict(dtype=np.float64, shape=array_shapes(min_dims=2, max_dims=2, max_side=8))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(arrays(elements=ANY_FLOAT, **BLOCKS))
+def test_format_rows_is_percent_or_declines(block):
+    text = format_rows(block)
+    assert text is None or text == _percent_rows(block)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(arrays(elements=NINE_DIGITS, **BLOCKS))
+def test_format_rows_formats_every_nine_digit_value(block):
+    assert format_rows(block) == _percent_rows(block)
+
+
+@pytest.mark.parametrize("value", [
+    100000000.5, 100000001.5, 9.9999999996e-3, 9.999999995e99, 5e-324, 1e291,
+    math.nan, math.inf, -math.inf,
+])
+def test_format_rows_declines_what_it_cannot_prove(value):
+    assert format_rows(np.array([[1.0, value]])) is None
+
+
+def test_csv_writer_falls_back_only_where_needed(tmp_path):
+    # the second block holds a NaN and an inf, the third an exact tie; every
+    # byte still equals the row-at-a-time reference
+    n_rows = 3 * 4096
+    rng = np.random.default_rng(7)
+    columns = [np.arange(n_rows) * 2e-5, rng.standard_normal(n_rows) * 1e-3,
+               np.zeros(n_rows)]
+    columns[1][5000] = math.nan
+    columns[2][6000] = -math.inf
+    columns[1][9000] = 100000000.5
+    names = ("t_s", "z_m", "p_w")
+    assert format_rows(np.column_stack([c[:4096] for c in columns])) is not None
+    _emit_csv(names, columns, str(tmp_path / "t.csv"))
+    written = (tmp_path / "t.csv").read_bytes()
+    assert written == _reference_csv(names, columns).encode("utf-8")
+    assert b"nan" in written and b"-inf" in written
 
 
 def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):

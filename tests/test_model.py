@@ -385,6 +385,13 @@ class TestMaxAvgLoadPower:
         with pytest.raises(ValueError):
             max_avg_load_power(g, 0.01, Excitation(1e-6, 100.0), 50.0, 0.0)
 
+    def test_load_below_coil_resistance_rejected(self):
+        # the formula would give -2.5e-08 W here
+        g = GeneratorParams(1e-3, 10.0, 0.01)
+        e = Excitation(1e-6, natural_frequency(g))
+        with pytest.raises(ValueError, match="r_load_ohm - r_coil_ohm"):
+            max_avg_load_power(g, 0.01, e, 50.0, 10.0)
+
 
 class TestLoadPowerCoherence:
     @pytest.mark.parametrize(

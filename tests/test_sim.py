@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import emharvest
 from emharvest import sim
 from emharvest.analysis import SweepCurve, extract_q_half_power
 from emharvest.model import (
@@ -366,3 +371,32 @@ class TestFrequencySweep:
         q, f_res = extract_q_half_power(curve)
         assert q == pytest.approx(216.0, rel=0.02)
         assert f_res == pytest.approx(350.0, rel=1e-3)
+
+
+# loaded runs whose 25,000-sample measurement window is long enough for a
+# threaded BLAS to split a dot product; prints every summary field's bits
+_WINDOW_RUNS = """
+import dataclasses, math
+from emharvest.model import CoilCircuit, Excitation, GeneratorParams
+from emharvest.sim import SimConfig, simulate
+g = GeneratorParams(1e-3, 568.4892135027469, 0.05)
+c = CoilCircuit(turns=100, side_length_m=1e-3, flux_density_t=0.5,
+                r_coil_ohm=50.0, r_load_ohm=150.0)
+for f_hz in (80.0, 100.0):
+    w = 2.0 * math.pi * f_hz
+    e = Excitation.from_acceleration(2.0, w, "peak")
+    s = simulate(g, c, e, SimConfig(dt_s=2e-5, duration_s=1.0, settle_fraction=0.5))
+    print([x.hex() for x in dataclasses.astuple(s)])
+"""
+
+
+def test_summary_bits_do_not_depend_on_blas_threads():
+    src = str(pathlib.Path(emharvest.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _WINDOW_RUNS], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2
