@@ -2,9 +2,10 @@
 and named run scenarios.
 
 Grammar: one entity per section, section names are "<kind>.<name>" with
-kind in {material, device, generator, scenario}; keys mirror the dataclass
-fields of the entity.  A scenario either references a generator section by
-name (generator = <name>) or carries the full generator key set inline.
+kind in {material, device, generator, scenario}; keys are the dataclass
+fields of the entity, and a field with a default is optional.  A scenario
+either references a generator section by name (generator = <name>) or
+carries the full generator key set inline.
 All problems (missing file, bad number, dangling reference, a key the
 section does not read, violated domain invariant) surface as ConfigError
 with the section and key named.
@@ -13,8 +14,10 @@ with the section and key named.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .analysis import DeviceRecord
@@ -134,7 +137,15 @@ def _lookup(kind: str, name: str, table: dict, where: str = ""):
     return table[name]
 
 
-_MISSING = object()
+@functools.cache
+def _keys(cls) -> tuple[tuple[str, type, object], ...]:
+    """(name, kind, default) per field of cls: int and str fields are read
+    as such, any other as float; MISSING marks a required key."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name] if hints[f.name] in (int, str) else float, f.default)
+        for f in fields(cls)
+    )
 
 
 class _Section:
@@ -145,11 +156,11 @@ class _Section:
         self.raw = raw
         self.read: set[str] = set()
 
-    def get(self, key: str, kind=float, default=_MISSING):
+    def get(self, key: str, kind=float, default=MISSING):
         """key's value as kind (float, int or str); required unless defaulted."""
         self.read.add(key)
         if key not in self.raw:
-            if default is _MISSING:
+            if default is MISSING:
                 raise ConfigError(f"[{self.name}] missing required key {key!r}")
             return default
         val = self.raw[key]
@@ -165,55 +176,22 @@ class _Section:
                 f"[{self.name}] unknown or unused key(s): " + ", ".join(unread)
             )
 
-    def build(self, factory, /, **kwargs):
-        """Run a dataclass constructor, recasting its errors as ConfigError."""
+    def build(self, cls, /, **given):
+        """cls(**given), each other field read from the key of its name;
+        the dataclass's errors are recast as ConfigError."""
+        for key, kind, default in _keys(cls):
+            if key not in given:
+                given[key] = self.get(key, kind, default)
         try:
-            return factory(**kwargs)
+            return cls(**given)
         except ValueError as err:
             raise ConfigError(f"[{self.name}] {err}") from err
 
 
-def _parse_material(sec: _Section, name: str) -> MaterialProps:
-    return sec.build(
-        MaterialProps,
-        name=name,
-        youngs_modulus_pa=sec.get("youngs_modulus_pa"),
-        density_kg_m3=sec.get("density_kg_m3"),
-    )
-
-
-def _parse_device(sec: _Section, name: str) -> DeviceRecord:
-    return sec.build(
-        DeviceRecord,
-        name=name,
-        volume_mm3=sec.get("volume_mm3"),
-        active_mass_kg=sec.get("active_mass_kg"),
-        resonant_frequency_hz=sec.get("resonant_frequency_hz"),
-        measured_power_w=sec.get("measured_power_w"),
-        measured_at_acceleration_m_s2=sec.get("measured_at_acceleration_m_s2"),
-        flux_density_t=sec.get("flux_density_t", float, None),
-        r_coil_ohm=sec.get("r_coil_ohm", float, None),
-        notes=sec.get("notes", str, ""),
-    )
-
-
 def _parse_generator(sec: _Section, name: str) -> GeneratorAssembly:
-    params = sec.build(
-        GeneratorParams,
-        mass_kg=sec.get("mass_kg"),
-        stiffness_n_per_m=sec.get("stiffness_n_per_m"),
-        zeta_parasitic=sec.get("zeta_parasitic"),
-        displacement_limit_m=sec.get("displacement_limit_m", float, None),
-    )
-    circuit = sec.build(
-        CoilCircuit,
-        turns=sec.get("turns", int),
-        side_length_m=sec.get("side_length_m"),
-        flux_density_t=sec.get("flux_density_t"),
-        r_coil_ohm=sec.get("r_coil_ohm"),
-        l_coil_h=sec.get("l_coil_h", float, 0.0),
-        r_load_ohm=sec.get("r_load_ohm"),
-    )
+    params = sec.build(GeneratorParams)
+    # required here, although CoilCircuit defaults it to 1 ohm
+    circuit = sec.build(CoilCircuit, r_load_ohm=sec.get("r_load_ohm"))
     return GeneratorAssembly(name=name, params=params, circuit=circuit)
 
 
@@ -242,29 +220,15 @@ def _parse_scenario(
     else:
         assembly = _parse_generator(sec, name=f"{name} (inline)")
 
-    sim = None
-    dt = sec.get("dt_s", float, None)
-    duration = sec.get("duration_s", float, None)
-    if (dt is None) != (duration is None):
-        raise ConfigError(f"[{sec.name}] dt_s and duration_s must be given together")
-    if dt is not None:
-        sim = sec.build(
-            SimConfig,
-            dt_s=dt,
-            duration_s=duration,
-            settle_fraction=sec.get("settle_fraction", float, 0.8),
-        )
-
     return sec.build(
         Scenario,
         name=name,
         generator=assembly,
-        accel_m_s2=sec.get("accel_m_s2"),
+        # the catalog's default; Scenario has none
         accel_tag=sec.get("accel_tag", str, "peak"),
-        freq_hz=sec.get("freq_hz"),
         freq_sweep=_parse_sweep(sec, "freq", "linear"),
         load_sweep=_parse_sweep(sec, "load", "log"),
-        sim=sim,
+        sim=sec.build(SimConfig) if "dt_s" in sec.raw or "duration_s" in sec.raw else None,
     )
 
 
@@ -293,9 +257,9 @@ def _parse_text(text: str, origin: str) -> Catalog:
             )
         sec = _Section(section, cp[section])
         if kind == "material":
-            materials[name] = _parse_material(sec, name)
+            materials[name] = sec.build(MaterialProps, name=name)
         elif kind == "device":
-            devices[name] = _parse_device(sec, name)
+            devices[name] = sec.build(DeviceRecord, name=name)
         elif kind == "generator":
             generators[name] = _parse_generator(sec, name)
         elif kind == "scenario":

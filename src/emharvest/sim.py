@@ -110,9 +110,9 @@ class SimConfig:
         start-up transient is below 1e-4 of steady state when the default
         measurement window opens, with a 30-period floor for heavy damping.
         """
-        if steps_per_period < _MIN_STEPS_PER_PERIOD:
+        if not _MIN_STEPS_PER_PERIOD <= steps_per_period < math.inf:
             raise ValueError(
-                f"steps_per_period must be >= {_MIN_STEPS_PER_PERIOD}, "
+                f"steps_per_period must be >= {_MIN_STEPS_PER_PERIOD} and finite, "
                 f"got {steps_per_period}"
             )
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))

@@ -1,10 +1,21 @@
 import math
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
+from emharvest.analysis import DeviceRecord
+from emharvest.beam import MaterialProps
 from emharvest.cli import main
-from emharvest.config import ConfigError, SweepRange, load_catalog
-from emharvest.model import natural_frequency
+from emharvest.config import (
+    Catalog,
+    ConfigError,
+    GeneratorAssembly,
+    Scenario,
+    SweepRange,
+    load_catalog,
+)
+from emharvest.model import CoilCircuit, GeneratorParams, natural_frequency
+from emharvest.sim import SimConfig
 
 MINIMAL = """
 [material.steel]
@@ -218,6 +229,120 @@ r_load_ohm = 20
         with pytest.raises(ConfigError, match="duration_s"):
             load_catalog(write(tmp_path, text))
 
+    @pytest.mark.parametrize("given, missing", [("dt_s = 1e-4", "duration_s"),
+                                                ("duration_s = 0.5", "dt_s")])
+    def test_half_given_sim_pair_exits_2(self, tmp_path, capsys, given, missing):
+        path = write(tmp_path, MINIMAL + given + "\n")
+        assert main(["model", "--config", path, "--scenario", "run"]) == 2
+        message = f"[scenario.run] missing required key '{missing}'"
+        assert message in capsys.readouterr().err
+
+
+# every key of every section, each field set to a value other than its default
+EVERY_FIELD = {
+    "material.steel": {"youngs_modulus_pa": "193e9", "density_kg_m3": "7900"},
+    "device.widget": {
+        "volume_mm3": "100", "active_mass_kg": "1e-3", "resonant_frequency_hz": "120",
+        "measured_power_w": "5e-6", "measured_at_acceleration_m_s2": "2.0",
+        "flux_density_t": "0.4", "r_coil_ohm": "25", "notes": "hand wound",
+    },
+    "generator.unit": {
+        "mass_kg": "1e-3", "stiffness_n_per_m": "568.489", "zeta_parasitic": "0.01",
+        "displacement_limit_m": "2e-4", "turns": "100", "side_length_m": "1e-3",
+        "flux_density_t": "0.5", "r_coil_ohm": "50", "l_coil_h": "1e-3",
+        "r_load_ohm": "150",
+    },
+    "scenario.run": {
+        "generator": "unit", "accel_m_s2": "2.0", "accel_tag": "rms", "freq_hz": "120",
+        "freq_start": "100", "freq_stop": "140", "freq_points": "5", "freq_scale": "log",
+        "load_start": "10", "load_stop": "1000", "load_points": "3", "load_scale": "linear",
+        "dt_s": "1e-4", "duration_s": "0.5", "settle_fraction": "0.5",
+    },
+}
+
+GENERATOR = GeneratorAssembly(
+    "unit",
+    GeneratorParams(1e-3, 568.489, 0.01, displacement_limit_m=2e-4),
+    CoilCircuit(100, 1e-3, 0.5, 50.0, l_coil_h=1e-3, r_load_ohm=150.0),
+)
+EXPECTED = Catalog(
+    materials={"steel": MaterialProps("steel", 193e9, 7900.0)},
+    devices={"widget": DeviceRecord("widget", 100.0, 1e-3, 120.0, 5e-6, 2.0,
+                                    flux_density_t=0.4, r_coil_ohm=25.0,
+                                    notes="hand wound")},
+    generators={"unit": GENERATOR},
+    scenarios={"run": Scenario(
+        "run", GENERATOR, 2.0, "rms", 120.0,
+        freq_sweep=SweepRange(100.0, 140.0, 5, "log"),
+        load_sweep=SweepRange(10.0, 1000.0, 3, "linear"),
+        sim=SimConfig(1e-4, 0.5, settle_fraction=0.5),
+    )},
+)
+
+
+def catalog_without(tmp_path, section=None, key=None):
+    """Load EVERY_FIELD with one key of one section left out."""
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
+                                if (name, k) != (section, key)) + "\n"
+        for name, keys in EVERY_FIELD.items()
+    )
+    return load_catalog(write(tmp_path, text))
+
+
+class TestEveryField:
+    def test_every_field_round_trips(self, tmp_path):
+        scn = EXPECTED.scenarios["run"]
+        for obj in (EXPECTED.materials["steel"], EXPECTED.devices["widget"],
+                    GENERATOR.params, GENERATOR.circuit, scn, scn.sim):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+        assert catalog_without(tmp_path) == EXPECTED
+
+    @pytest.mark.parametrize("section, key", [
+        ("material.steel", "youngs_modulus_pa"), ("material.steel", "density_kg_m3"),
+        ("device.widget", "volume_mm3"), ("device.widget", "active_mass_kg"),
+        ("device.widget", "resonant_frequency_hz"), ("device.widget", "measured_power_w"),
+        ("device.widget", "measured_at_acceleration_m_s2"),
+        ("generator.unit", "mass_kg"), ("generator.unit", "stiffness_n_per_m"),
+        ("generator.unit", "zeta_parasitic"), ("generator.unit", "turns"),
+        ("generator.unit", "side_length_m"), ("generator.unit", "flux_density_t"),
+        ("generator.unit", "r_coil_ohm"),
+        # required by the catalog, although CoilCircuit defaults it
+        ("generator.unit", "r_load_ohm"),
+        ("scenario.run", "accel_m_s2"), ("scenario.run", "freq_hz"),
+        # either half of the sim pair requires the other
+        ("scenario.run", "dt_s"), ("scenario.run", "duration_s"),
+    ])
+    def test_required_key_missing(self, tmp_path, section, key):
+        message = rf"^\[{section}\] missing required key '{key}'$"
+        with pytest.raises(ConfigError, match=message):
+            catalog_without(tmp_path, section, key)
+
+    @pytest.mark.parametrize("section, key, holder", [
+        ("device.widget", "flux_density_t", lambda cat: cat.devices["widget"]),
+        ("device.widget", "r_coil_ohm", lambda cat: cat.devices["widget"]),
+        ("device.widget", "notes", lambda cat: cat.devices["widget"]),
+        ("generator.unit", "displacement_limit_m", lambda cat: cat.generators["unit"].params),
+        ("generator.unit", "l_coil_h", lambda cat: cat.generators["unit"].circuit),
+        ("scenario.run", "settle_fraction", lambda cat: cat.scenarios["run"].sim),
+    ])
+    def test_optional_key_takes_the_dataclass_default(self, tmp_path, section, key, holder):
+        got, expected = holder(catalog_without(tmp_path, section, key)), holder(EXPECTED)
+        default = {f.name: f.default for f in fields(expected)}[key]
+        assert default is not MISSING
+        assert got == replace(expected, **{key: default})
+
+    @pytest.mark.parametrize("key, read, expected", [
+        # the catalog's own defaults: Scenario has none for accel_tag, and
+        # the load sweep defaults to log where SweepRange says linear
+        ("accel_tag", lambda scn: scn.accel_tag, "peak"),
+        ("freq_scale", lambda scn: scn.freq_sweep.scale, "linear"),
+        ("load_scale", lambda scn: scn.load_sweep.scale, "log"),
+    ])
+    def test_catalog_default(self, tmp_path, key, read, expected):
+        scn = catalog_without(tmp_path, "scenario.run", key).scenarios["run"]
+        assert read(scn) == expected
 
 class TestSweepRange:
     def test_linear_values(self):

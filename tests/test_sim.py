@@ -80,8 +80,9 @@ class TestSimConfig:
             SimConfig.suggest(g, None, 100.0)
 
     def test_suggest_rejects_coarse_stepping(self):
-        with pytest.raises(ValueError, match="steps_per_period"):
-            SimConfig.suggest(make_gen(), None, 100.0, steps_per_period=10)
+        for steps in (10, math.nan, math.inf):
+            with pytest.raises(ValueError, match="steps_per_period"):
+                SimConfig.suggest(make_gen(), None, 100.0, steps_per_period=steps)
 
 
 class TestSimulate:
