@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("peak", "rms")
+_SQRT2 = math.sqrt(2.0)
+_UNBOUNDED = "undamped response is unbounded at exact resonance"
 
 
 def _check_magnitudes(
@@ -52,9 +54,10 @@ def _check_magnitudes(
 
     Takes (name, value) pairs and raises ValueError naming the first value
     that is NaN or infinite, or <= 0 in ``positive``, or < 0 in
-    ``nonnegative``.  Hot dataclasses make one call per construction.
+    ``nonnegative``.  Hot sites call it only when their own chained
+    comparisons fail, so it still words every error.
     """
-    inf = math.inf  # one lookup per call: this runs on every hot construction
+    inf = math.inf
     for name, x in positive:
         if not 0.0 < x < inf:
             raise ValueError(f"{name} must be > 0 and finite, got {x}")
@@ -127,11 +130,15 @@ class CoilCircuit:
     def __post_init__(self) -> None:
         if not isinstance(self.turns, int):
             raise ValueError(f"turns must be an integer, got {self.turns!r}")
-        _check_magnitudes(nonnegative=(
-            ("turns", self.turns), ("side_length_m", self.side_length_m),
-            ("flux_density_t", self.flux_density_t), ("r_coil_ohm", self.r_coil_ohm),
-            ("l_coil_h", self.l_coil_h),
-        ))
+        inf = math.inf
+        if not (0 <= self.turns < inf and 0.0 <= self.side_length_m < inf
+                and 0.0 <= self.flux_density_t < inf and 0.0 <= self.r_coil_ohm < inf
+                and 0.0 <= self.l_coil_h < inf):
+            _check_magnitudes(nonnegative=(
+                ("turns", self.turns), ("side_length_m", self.side_length_m),
+                ("flux_density_t", self.flux_density_t), ("r_coil_ohm", self.r_coil_ohm),
+                ("l_coil_h", self.l_coil_h),
+            ))
         # only a lower bound: r_load_ohm = inf is the open circuit
         if not self.r_load_ohm > 0.0:
             raise ValueError(f"r_load_ohm must be > 0, got {self.r_load_ohm}")
@@ -153,10 +160,9 @@ class Excitation:
     omega_rad_per_s: float
 
     def __post_init__(self) -> None:
-        _check_magnitudes(
-            (("omega_rad_per_s", self.omega_rad_per_s),),
-            (("amplitude_m", self.amplitude_m),),
-        )
+        if not (0.0 < self.omega_rad_per_s < math.inf and 0.0 <= self.amplitude_m < math.inf):
+            _check_magnitudes((("omega_rad_per_s", self.omega_rad_per_s),),
+                              (("amplitude_m", self.amplitude_m),))
 
     @property
     def acceleration_m_s2(self) -> float:
@@ -177,8 +183,10 @@ class Excitation:
         """
         if convention not in _CONVENTIONS:
             raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-        _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),), (("accel_m_s2", accel_m_s2),))
-        peak = accel_m_s2 * math.sqrt(2.0) if convention == "rms" else accel_m_s2
+        if not (0.0 < omega_rad_per_s < math.inf and 0.0 <= accel_m_s2 < math.inf):
+            _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),),
+                              (("accel_m_s2", accel_m_s2),))
+        peak = accel_m_s2 * _SQRT2 if convention == "rms" else accel_m_s2
         try:
             amplitude = peak / omega_rad_per_s**2
         except ArithmeticError as err:  # w**2 overflows, or underflows to 0
@@ -209,11 +217,15 @@ class ResponsePoint:
     emf_rms_v: float
 
     def __post_init__(self) -> None:
-        _check_magnitudes(nonnegative=(
-            ("z_amplitude_m", self.z_amplitude_m), ("p_dissipated_w", self.p_dissipated_w),
-            ("p_load_w", self.p_load_w), ("p_total_electrical_w", self.p_total_electrical_w),
-            ("v_load_rms_v", self.v_load_rms_v), ("emf_rms_v", self.emf_rms_v),
-        ))
+        inf = math.inf
+        if not (0.0 <= self.z_amplitude_m < inf and 0.0 <= self.p_dissipated_w < inf
+                and 0.0 <= self.p_load_w < inf and 0.0 <= self.p_total_electrical_w < inf
+                and 0.0 <= self.v_load_rms_v < inf and 0.0 <= self.emf_rms_v < inf):
+            _check_magnitudes(nonnegative=(
+                ("z_amplitude_m", self.z_amplitude_m), ("p_dissipated_w", self.p_dissipated_w),
+                ("p_load_w", self.p_load_w), ("p_total_electrical_w", self.p_total_electrical_w),
+                ("v_load_rms_v", self.v_load_rms_v), ("emf_rms_v", self.emf_rms_v),
+            ))
         if not 0.0 <= self.phase_rad <= math.pi:
             raise ValueError(f"phase_rad must be in [0, pi], got {self.phase_rad}")
         # tiny slack for float round-off in the resistive split
@@ -283,17 +295,15 @@ def displacement_response(
     rejected only at exact resonance, where the amplitude is unbounded.
     """
     _check_magnitudes(nonnegative=(("zeta_total", zeta_total),))
-    return _displacement(natural_frequency(g), zeta_total, e)
-
-
-def _displacement(wn: float, zeta_total: float, e: Excitation) -> tuple[float, float]:
+    wn = natural_frequency(g)
     w = e.omega_rad_per_s
-    den = math.hypot(wn * wn - w * w, 2.0 * zeta_total * wn * w)
+    stiff = wn * wn - w * w
+    damp = 2.0 * zeta_total * wn * w
+    den = math.hypot(stiff, damp)
     # zero only undamped at exact resonance, or when both terms underflow
     if den == 0.0:
-        raise ValueError("undamped response is unbounded at exact resonance")
-    phase = math.atan2(2.0 * zeta_total * wn * w, wn * wn - w * w)
-    return e.amplitude_m * w * w / den, phase
+        raise ValueError(_UNBOUNDED)
+    return e.amplitude_m * w * w / den, math.atan2(damp, stiff)
 
 
 def dissipated_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> float:
@@ -303,14 +313,9 @@ def dissipated_power(g: GeneratorParams, zeta_total: float, e: Excitation) -> fl
     amplitude; at resonance this reduces to the max_resonant_power value.
     """
     _check_magnitudes((("zeta_total", zeta_total),))
-    wn = natural_frequency(g)
-    amp, _ = _displacement(wn, zeta_total, e)
-    return _dissipated(g.mass_kg, wn, zeta_total, e.omega_rad_per_s * amp)
-
-
-def _dissipated(mass_kg: float, wn: float, zeta_total: float, v: float) -> float:
+    v = e.omega_rad_per_s * displacement_response(g, zeta_total, e)[0]
     # c_T v^2 / 2 for peak velocity v; products, not **, so overflow reads inf
-    return mass_kg * zeta_total * wn * v * v
+    return g.mass_kg * zeta_total * natural_frequency(g) * v * v
 
 
 def _require_resonant(g: GeneratorParams, e: Excitation) -> float:
@@ -357,11 +362,6 @@ def load_power(
     return p
 
 
-def _impedance_magnitude(c: CoilCircuit, omega_rad_per_s: float) -> float:
-    """|R_load + R_coil + j w L_coil|, ohms; > 0 by CoilCircuit's invariants."""
-    return math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
-
-
 def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     """Viscous damping produced by the coil circuit, N*s/m.
 
@@ -369,10 +369,7 @@ def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     R_load + R_coil + j w L_coil.  With zero inductance this is the plain
     resistive expression; an infinite load resistance gives 0 (open circuit).
     """
-    return _em_damping(c, _impedance_magnitude(c, omega_rad_per_s))
-
-
-def _em_damping(c: CoilCircuit, z_mag: float) -> float:
+    z_mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)  # > 0: R_load > 0
     coupling = c.coupling_v_s_per_m
     return coupling * coupling / z_mag
 
@@ -382,15 +379,12 @@ def total_damping(
 ) -> tuple[float, float, float]:
     """Parasitic and electrical viscous coefficients c_p, c_e (N*s/m) and the
     total damping ratio (c_p + c_e) / (2 m w_n) at one drive frequency."""
-    return _damping(g, natural_frequency(g), c, _impedance_magnitude(c, omega_rad_per_s))
-
-
-def _damping(
-    g: GeneratorParams, wn: float, c: CoilCircuit, z_mag: float
-) -> tuple[float, float, float]:
-    c_crit = 2.0 * g.mass_kg * wn
+    # natural_frequency and em_damping_coefficient written out: this runs per point
+    c_crit = 2.0 * g.mass_kg * math.sqrt(g.stiffness_n_per_m / g.mass_kg)
     c_p = c_crit * g.zeta_parasitic
-    c_e = _em_damping(c, z_mag)
+    z_mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
+    coupling = c.turns * c.side_length_m * c.flux_density_t
+    c_e = coupling * coupling / z_mag
     return c_p, c_e, (c_p + c_e) / c_crit
 
 
@@ -529,30 +523,29 @@ def evaluate_response(
     differ slightly from the mechanically extracted power; they coincide
     for l_coil_h = 0.
     """
+    # displacement_response and dissipated_power written out, operand for operand
     w = e.omega_rad_per_s
-    # w_n and |Z| once per point, shared by the damping, motion and circuit
-    wn = natural_frequency(g)
-    z_mag = _impedance_magnitude(c, w)
-    _, _, zeta_t = _damping(g, wn, c, z_mag)
-    amp, phase = _displacement(wn, zeta_t, e)
-    p_diss = _dissipated(g.mass_kg, wn, zeta_t, w * amp)
+    wn = math.sqrt(g.stiffness_n_per_m / g.mass_kg)
+    zeta_t = total_damping(g, c, w)[2]
+    stiff = wn * wn - w * w
+    damp = 2.0 * zeta_t * wn * w
+    den = math.hypot(stiff, damp)
+    if den == 0.0:
+        raise ValueError(_UNBOUNDED)
+    amp = e.amplitude_m * w * w / den
+    v = w * amp
+    p_diss = g.mass_kg * zeta_t * wn * v * v
     # series circuit: EMF drives R_load + R_coil (+ j w L_coil)
-    emf_rms = c.coupling_v_s_per_m * amp * w / math.sqrt(2.0)
-    if math.isinf(c.r_load_ohm):
+    emf_rms = c.turns * c.side_length_m * c.flux_density_t * amp * w / _SQRT2
+    r_load = c.r_load_ohm
+    if r_load == math.inf:
         p_load = 0.0
         p_total_e = 0.0
         v_load = emf_rms  # no current, full EMF appears across the load
     else:
-        i_rms = emf_rms / z_mag
-        p_load = i_rms * i_rms * c.r_load_ohm
-        p_total_e = i_rms * i_rms * (c.r_load_ohm + c.r_coil_ohm)
-        v_load = i_rms * c.r_load_ohm
-    return ResponsePoint(
-        z_amplitude_m=amp,
-        phase_rad=phase,
-        p_dissipated_w=p_diss,
-        p_load_w=p_load,
-        p_total_electrical_w=p_total_e,
-        v_load_rms_v=v_load,
-        emf_rms_v=emf_rms,
-    )
+        r_total = r_load + c.r_coil_ohm
+        i_rms = emf_rms / math.hypot(r_total, w * c.l_coil_h)
+        p_load = i_rms * i_rms * r_load
+        p_total_e = i_rms * i_rms * r_total
+        v_load = i_rms * r_load
+    return ResponsePoint(amp, math.atan2(damp, stiff), p_diss, p_load, p_total_e, v_load, emf_rms)

@@ -1,9 +1,10 @@
-"""Every magnitude the public API takes is rejected when NaN or infinite.
+"""Every magnitude the public API takes is rejected when NaN, infinite or
+negative.
 
 One row per public constructor or function: how to call it and its nominal
-arguments.  Each listed argument is replaced in turn by nan, +inf and -inf;
-the call must raise ValueError naming that argument.  The one value allowed
-to be infinite is CoilCircuit.r_load_ohm = inf, the open circuit.
+arguments.  Each listed argument is replaced in turn by nan, +inf, -inf and
+-1.0; the call must raise ValueError naming that argument.  The one value
+allowed to be infinite is CoilCircuit.r_load_ohm = inf, the open circuit.
 """
 
 import math
@@ -197,7 +198,7 @@ CASES = {
     ),
 }
 
-BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "neg": -1.0}
 
 
 def _spoil(nominal, value):

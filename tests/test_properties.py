@@ -22,6 +22,8 @@ from emharvest.model import (
     compose_q_factors,
     damping_coefficient_from_ratio,
     displacement_response,
+    dissipated_power,
+    em_damping_coefficient,
     evaluate_response,
     natural_frequency,
     optimal_load,
@@ -272,12 +274,21 @@ def test_powers_scale_with_base_amplitude_squared(design, scale):
 
 
 @CLOSED_FORM
-@given(designs())
-def test_motion_equals_its_parts(design):
+@given(designs(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_motion_equals_its_parts(design, wl_over_r):
+    # the one-pass evaluation equals the public wrappers bit for bit, with a
+    # coil inductance of wL/R from 0 to 1 in place of the drawn one
     g, c, e = design
+    w = e.omega_rad_per_s
+    c = replace(c, l_coil_h=wl_over_r * (c.r_load_ohm + c.r_coil_ohm) / w)
+    c_p, c_e, zeta_t = total_damping(g, c, w)
+    assume(zeta_t >= 1e-12)
     rp = evaluate_response(g, c, e)
-    zeta_t = total_damping(g, c, e.omega_rad_per_s)[2]
+    assert (c_p, c_e) == (damping_coefficient_from_ratio(g.zeta_parasitic, g),
+                          em_damping_coefficient(c, w))
     assert (rp.z_amplitude_m, rp.phase_rad) == displacement_response(g, zeta_t, e)
+    assert rp.p_dissipated_w == dissipated_power(g, zeta_t, e)
+    assert rp.emf_rms_v == c.coupling_v_s_per_m * rp.z_amplitude_m * w / math.sqrt(2.0)
 
 
 @CLOSED_FORM
