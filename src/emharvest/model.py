@@ -108,7 +108,7 @@ class GeneratorParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoilCircuit:
     """Electromagnetic transduction parameters.
 
@@ -127,21 +127,30 @@ class CoilCircuit:
     l_coil_h: float = 0.0
     r_load_ohm: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.turns, int):
-            raise ValueError(f"turns must be an integer, got {self.turns!r}")
+    def __init__(self, turns: int, side_length_m: float, flux_density_t: float,
+                 r_coil_ohm: float, l_coil_h: float = 0.0, r_load_ohm: float = 1.0) -> None:
+        if not isinstance(turns, int) or isinstance(turns, bool):  # True is an int too
+            raise ValueError(f"turns must be an integer, got {turns!r}")
         inf = math.inf
-        if not (0 <= self.turns < inf and 0.0 <= self.side_length_m < inf
-                and 0.0 <= self.flux_density_t < inf and 0.0 <= self.r_coil_ohm < inf
-                and 0.0 <= self.l_coil_h < inf):
+        if not (0 <= turns < inf and 0.0 <= side_length_m < inf
+                and 0.0 <= flux_density_t < inf and 0.0 <= r_coil_ohm < inf
+                and 0.0 <= l_coil_h < inf):
             _check_magnitudes(nonnegative=(
-                ("turns", self.turns), ("side_length_m", self.side_length_m),
-                ("flux_density_t", self.flux_density_t), ("r_coil_ohm", self.r_coil_ohm),
-                ("l_coil_h", self.l_coil_h),
+                ("turns", turns), ("side_length_m", side_length_m),
+                ("flux_density_t", flux_density_t), ("r_coil_ohm", r_coil_ohm),
+                ("l_coil_h", l_coil_h),
             ))
         # only a lower bound: r_load_ohm = inf is the open circuit
-        if not self.r_load_ohm > 0.0:
-            raise ValueError(f"r_load_ohm must be > 0, got {self.r_load_ohm}")
+        if not r_load_ohm > 0.0:
+            raise ValueError(f"r_load_ohm must be > 0, got {r_load_ohm}")
+        # frozen: fields go straight into the instance dict, not one object.__setattr__ each
+        store = self.__dict__
+        store["turns"] = turns
+        store["side_length_m"] = side_length_m
+        store["flux_density_t"] = flux_density_t
+        store["r_coil_ohm"] = r_coil_ohm
+        store["l_coil_h"] = l_coil_h
+        store["r_load_ohm"] = r_load_ohm
 
     @property
     def coupling_v_s_per_m(self) -> float:
@@ -149,7 +158,7 @@ class CoilCircuit:
         return self.turns * self.side_length_m * self.flux_density_t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Excitation:
     """Sinusoidal base vibration y(t) = Y sin(w t), peak amplitude Y.
 
@@ -159,10 +168,13 @@ class Excitation:
     amplitude_m: float
     omega_rad_per_s: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.omega_rad_per_s < math.inf and 0.0 <= self.amplitude_m < math.inf):
-            _check_magnitudes((("omega_rad_per_s", self.omega_rad_per_s),),
-                              (("amplitude_m", self.amplitude_m),))
+    def __init__(self, amplitude_m: float, omega_rad_per_s: float) -> None:
+        if not (0.0 < omega_rad_per_s < math.inf and 0.0 <= amplitude_m < math.inf):
+            _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),),
+                              (("amplitude_m", amplitude_m),))
+        store = self.__dict__  # frozen: stored as in CoilCircuit
+        store["amplitude_m"] = amplitude_m
+        store["omega_rad_per_s"] = omega_rad_per_s
 
     @property
     def acceleration_m_s2(self) -> float:
@@ -191,11 +203,11 @@ class Excitation:
             amplitude = peak / omega_rad_per_s**2
         except ArithmeticError as err:  # w**2 overflows, or underflows to 0
             raise ValueError(f"omega_rad_per_s**2 out of range, got {omega_rad_per_s}") from err
-        # an amplitude that overflows to inf is rejected by __post_init__
+        # an amplitude that overflows to inf is rejected by __init__
         return cls(amplitude_m=amplitude, omega_rad_per_s=omega_rad_per_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResponsePoint:
     """Steady-state outputs at one drive frequency and load.
 
@@ -216,24 +228,34 @@ class ResponsePoint:
     v_load_rms_v: float
     emf_rms_v: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, z_amplitude_m: float, phase_rad: float, p_dissipated_w: float,
+                 p_load_w: float, p_total_electrical_w: float, v_load_rms_v: float,
+                 emf_rms_v: float) -> None:
         inf = math.inf
-        if not (0.0 <= self.z_amplitude_m < inf and 0.0 <= self.p_dissipated_w < inf
-                and 0.0 <= self.p_load_w < inf and 0.0 <= self.p_total_electrical_w < inf
-                and 0.0 <= self.v_load_rms_v < inf and 0.0 <= self.emf_rms_v < inf):
+        if not (0.0 <= z_amplitude_m < inf and 0.0 <= p_dissipated_w < inf
+                and 0.0 <= p_load_w < inf and 0.0 <= p_total_electrical_w < inf
+                and 0.0 <= v_load_rms_v < inf and 0.0 <= emf_rms_v < inf):
             _check_magnitudes(nonnegative=(
-                ("z_amplitude_m", self.z_amplitude_m), ("p_dissipated_w", self.p_dissipated_w),
-                ("p_load_w", self.p_load_w), ("p_total_electrical_w", self.p_total_electrical_w),
-                ("v_load_rms_v", self.v_load_rms_v), ("emf_rms_v", self.emf_rms_v),
+                ("z_amplitude_m", z_amplitude_m), ("p_dissipated_w", p_dissipated_w),
+                ("p_load_w", p_load_w), ("p_total_electrical_w", p_total_electrical_w),
+                ("v_load_rms_v", v_load_rms_v), ("emf_rms_v", emf_rms_v),
             ))
-        if not 0.0 <= self.phase_rad <= math.pi:
-            raise ValueError(f"phase_rad must be in [0, pi], got {self.phase_rad}")
+        if not 0.0 <= phase_rad <= math.pi:
+            raise ValueError(f"phase_rad must be in [0, pi], got {phase_rad}")
         # tiny slack for float round-off in the resistive split
-        if self.p_load_w > self.p_total_electrical_w * (1.0 + 1e-12):
+        if p_load_w > p_total_electrical_w * (1.0 + 1e-12):
             raise ValueError(
-                f"p_load_w ({self.p_load_w}) exceeds p_total_electrical_w "
-                f"({self.p_total_electrical_w})"
+                f"p_load_w ({p_load_w}) exceeds p_total_electrical_w "
+                f"({p_total_electrical_w})"
             )
+        store = self.__dict__  # frozen: stored as in CoilCircuit
+        store["z_amplitude_m"] = z_amplitude_m
+        store["phase_rad"] = phase_rad
+        store["p_dissipated_w"] = p_dissipated_w
+        store["p_load_w"] = p_load_w
+        store["p_total_electrical_w"] = p_total_electrical_w
+        store["v_load_rms_v"] = v_load_rms_v
+        store["emf_rms_v"] = emf_rms_v
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -286,6 +288,12 @@ class TestCoilCircuit:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             CoilCircuit(**kwargs)
+
+    # a bool passes isinstance(x, int), but True is no turn count
+    @pytest.mark.parametrize("turns", [True, 1.5, "10"])
+    def test_rejects_non_integer_turns(self, turns):
+        with pytest.raises(ValueError, match="turns must be an integer"):
+            CoilCircuit(turns, 1e-2, 0.5, 10.0)
 
 
 class TestEmDampingCoefficient:
@@ -578,6 +586,43 @@ class TestResponsePoint:
     def test_rejects_phase_out_of_range(self):
         with pytest.raises(ValueError):
             ResponsePoint(1e-6, 3.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+# Field values away from every default, so a field that __init__ does not
+# store (and that would read its class default) shows.
+_CONTRACT_SAMPLES = [
+    (CoilCircuit, dict(turns=600, side_length_m=6.5e-4, flux_density_t=0.5,
+                       r_coil_ohm=50.0, l_coil_h=1e-3, r_load_ohm=100.0)),
+    (Excitation, dict(amplitude_m=2e-6, omega_rad_per_s=620.0)),
+    (ResponsePoint, dict(z_amplitude_m=1e-5, phase_rad=1.0, p_dissipated_w=3e-4,
+                         p_load_w=1e-4, p_total_electrical_w=2e-4, v_load_rms_v=0.1,
+                         emf_rms_v=0.2)),
+]
+
+
+class TestHandWrittenInit:
+    """The hot records write their own __init__; it must keep the dataclass contract."""
+
+    @pytest.mark.parametrize("cls, kwargs", _CONTRACT_SAMPLES,
+                             ids=[cls.__name__ for cls, _ in _CONTRACT_SAMPLES])
+    def test_keeps_dataclass_contract(self, cls, kwargs):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(cls)
+        ]
+        assert list(kwargs) == [f.name for f in fields(cls)]
+        obj = cls(**kwargs)
+        assert vars(obj) == kwargs
+        assert cls(*kwargs.values()) == obj
+        assert hash(cls(**kwargs)) == hash(obj)
+        for name, value in kwargs.items():
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, value)
+            new = value // 2 if isinstance(value, int) else value / 2
+            changed = replace(obj, **{name: new})
+            assert vars(changed) == {**kwargs, name: new}
+            assert replace(changed, **{name: value}) == obj
 
 
 class TestDampingDecompositionType:
