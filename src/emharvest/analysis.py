@@ -292,7 +292,7 @@ def find_optimal_load(ls: LoadSweep) -> tuple[float, float]:
     if len(ls.r_load_ohm) < 3:
         raise ValueError(f"need at least 3 sweep points, got {len(ls.r_load_ohm)}")
     p = ls.p_load_w
-    i_max = max(range(len(p)), key=lambda i: (p[i], -i))
+    i_max = p.index(max(p))
     if i_max == 0 or i_max == len(p) - 1:
         raise ValueError("optimum not bracketed: maximum power at a sweep endpoint")
     x0, x1, x2 = (math.log(ls.r_load_ohm[j]) for j in (i_max - 1, i_max, i_max + 1))

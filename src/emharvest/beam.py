@@ -11,7 +11,7 @@ the tip assembly is bulky.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import _check_magnitudes
@@ -107,7 +107,7 @@ def frequency_table(
         raise ValueError("materials must be non-empty")
     return [
         [
-            resonant_frequency(replace(base, thickness_m=t, material=mat))
+            resonant_frequency(BeamSpec(base.length_m, base.width_m, t, mat, base.tip_mass_kg))
             for mat in materials
         ]
         for t in t_list

@@ -25,6 +25,7 @@ from .beam import BeamSpec, frequency_table
 from .config import ConfigError, Scenario, _lookup, load_catalog
 from .model import (
     _CONVENTIONS,
+    CoilCircuit,
     Excitation,
     check_displacement_limit,
     damping_coefficient_from_ratio,
@@ -153,7 +154,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         names = ("r_load_ohm", "p_load_w", "p_total_w")
         rows = []
         for r_load in rng.values():
-            rp = evaluate_response(g, replace(c, r_load_ohm=r_load), e)
+            circuit = CoilCircuit(c.turns, c.side_length_m, c.flux_density_t, c.r_coil_ohm,
+                                  c.l_coil_h, r_load)
+            rp = evaluate_response(g, circuit, e)
             rows.append((r_load, rp.p_load_w, rp.p_total_electrical_w))
     _emit_csv(names, list(zip(*rows)), args.out)
     return 0

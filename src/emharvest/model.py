@@ -203,8 +203,13 @@ class Excitation:
             amplitude = peak / omega_rad_per_s**2
         except ArithmeticError as err:  # w**2 overflows, or underflows to 0
             raise ValueError(f"omega_rad_per_s**2 out of range, got {omega_rad_per_s}") from err
-        # an amplitude that overflows to inf is rejected by __init__
-        return cls(amplitude_m=amplitude, omega_rad_per_s=omega_rad_per_s)
+        if not amplitude < math.inf:  # overflowed: __init__ words the error
+            return cls(amplitude, omega_rad_per_s)
+        # w and a finite A/w^2 >= 0 passed __init__'s checks above: store as it does
+        exc = object.__new__(cls)
+        exc.__dict__["amplitude_m"] = amplitude
+        exc.__dict__["omega_rad_per_s"] = omega_rad_per_s
+        return exc
 
 
 @dataclass(frozen=True, init=False)
@@ -396,18 +401,27 @@ def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
     return coupling * coupling / z_mag
 
 
+def _damping_terms(
+    g: GeneratorParams, c: CoilCircuit, omega_rad_per_s: float
+) -> tuple[float, float, float, float, float, float]:
+    """w_n, coupling N l B, |R_load + R_coil + j w L_coil|, c_p, c_e and zeta_T at
+    one drive frequency: evaluate_response reads them all, total_damping the last three."""
+    # natural_frequency and em_damping_coefficient written out: this runs per point
+    wn = math.sqrt(g.stiffness_n_per_m / g.mass_kg)
+    c_crit = 2.0 * g.mass_kg * wn
+    c_p = c_crit * g.zeta_parasitic
+    z_mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
+    coupling = c.turns * c.side_length_m * c.flux_density_t
+    c_e = coupling * coupling / z_mag
+    return wn, coupling, z_mag, c_p, c_e, (c_p + c_e) / c_crit
+
+
 def total_damping(
     g: GeneratorParams, c: CoilCircuit, omega_rad_per_s: float
 ) -> tuple[float, float, float]:
     """Parasitic and electrical viscous coefficients c_p, c_e (N*s/m) and the
     total damping ratio (c_p + c_e) / (2 m w_n) at one drive frequency."""
-    # natural_frequency and em_damping_coefficient written out: this runs per point
-    c_crit = 2.0 * g.mass_kg * math.sqrt(g.stiffness_n_per_m / g.mass_kg)
-    c_p = c_crit * g.zeta_parasitic
-    z_mag = math.hypot(c.r_load_ohm + c.r_coil_ohm, omega_rad_per_s * c.l_coil_h)
-    coupling = c.turns * c.side_length_m * c.flux_density_t
-    c_e = coupling * coupling / z_mag
-    return c_p, c_e, (c_p + c_e) / c_crit
+    return _damping_terms(g, c, omega_rad_per_s)[3:]
 
 
 def damping_ratio_from_coefficient(c_damp: float, g: GeneratorParams) -> float:
@@ -547,8 +561,7 @@ def evaluate_response(
     """
     # displacement_response and dissipated_power written out, operand for operand
     w = e.omega_rad_per_s
-    wn = math.sqrt(g.stiffness_n_per_m / g.mass_kg)
-    zeta_t = total_damping(g, c, w)[2]
+    wn, coupling, z_mag, _, _, zeta_t = _damping_terms(g, c, w)
     stiff = wn * wn - w * w
     damp = 2.0 * zeta_t * wn * w
     den = math.hypot(stiff, damp)
@@ -558,16 +571,15 @@ def evaluate_response(
     v = w * amp
     p_diss = g.mass_kg * zeta_t * wn * v * v
     # series circuit: EMF drives R_load + R_coil (+ j w L_coil)
-    emf_rms = c.turns * c.side_length_m * c.flux_density_t * amp * w / _SQRT2
+    emf_rms = coupling * amp * w / _SQRT2
     r_load = c.r_load_ohm
     if r_load == math.inf:
         p_load = 0.0
         p_total_e = 0.0
         v_load = emf_rms  # no current, full EMF appears across the load
     else:
-        r_total = r_load + c.r_coil_ohm
-        i_rms = emf_rms / math.hypot(r_total, w * c.l_coil_h)
+        i_rms = emf_rms / z_mag
         p_load = i_rms * i_rms * r_load
-        p_total_e = i_rms * i_rms * r_total
+        p_total_e = i_rms * i_rms * (r_load + c.r_coil_ohm)
         v_load = i_rms * r_load
     return ResponsePoint(amp, math.atan2(damp, stiff), p_diss, p_load, p_total_e, v_load, emf_rms)

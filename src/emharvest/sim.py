@@ -49,6 +49,9 @@ _MIN_STEPS_PER_PERIOD = 50
 
 _ENERGY_RESIDUAL_LIMIT = 1e-3
 
+# RK4 phase error, 2 Q_T (w dt)^4 / 120, that SimConfig.suggest's step allows
+_PHASE_BOUND_RAD = 1e-3
+
 # RK4 steps whose drive is sampled by one np.sin call per column
 _BLOCK_STEPS = 4096
 
@@ -105,10 +108,13 @@ class SimConfig:
     ) -> "SimConfig":
         """Pick a step and duration suited to the device and drive frequency.
 
-        The step resolves the faster of the drive and natural periods; the
-        duration spans 14 damping time constants 1/(zeta_t*w_n), so the
-        start-up transient is below 1e-4 of steady state when the default
-        measurement window opens, with a 30-period floor for heavy damping.
+        The step resolves the faster of the drive and natural periods with
+        steps_per_period steps, or more where Q_T = 1/(2 zeta_t) needs them:
+        n >= 2 pi (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120
+        to 1e-3 rad (more than 64 steps above Q_T ~ 645).  The duration spans
+        14 damping time constants 1/(zeta_t*w_n), so the start-up transient is
+        below 1e-4 of steady state when the default measurement window opens,
+        with a 30-period floor for heavy damping.
         """
         if not _MIN_STEPS_PER_PERIOD <= steps_per_period < math.inf:
             raise ValueError(
@@ -120,7 +126,9 @@ class SimConfig:
         zeta_t = g.zeta_parasitic if c is None else total_damping(g, c, omega_rad_per_s)[2]
         if not zeta_t > 0.0:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
-        dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / steps_per_period
+        # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
+        n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
+        dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(steps_per_period, n_q)
         duration = max(
             14.0 / (zeta_t * wn),
             30.0 * 2.0 * math.pi / omega_rad_per_s,
@@ -337,15 +345,11 @@ def simulate(
     phase = _fit_phase(tw, zw, w)
 
     coupling = c.coupling_v_s_per_m
-    emf_arr = coupling * v_arr
     emf_rms = coupling * v_rms
-    if math.isinf(c.r_load_ohm):
-        p_load_arr = np.zeros_like(v_arr)
-    else:
-        p_load_arr = emf_arr * emf_arr * (
-            c.r_load_ohm / (c.r_load_ohm + c.r_coil_ohm) ** 2
-        )
-    p_load_avg = float(np.mean(p_load_arr[i0:]))
+    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
+    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (c.r_load_ohm + c.r_coil_ohm) ** 2
+    emf_w = coupling * vw
+    p_load_avg = float(np.mean(emf_w * emf_w * share))
     p_par_avg = float(np.mean(c_p * vw * vw))
 
     # bookkeeping over the whole trace, including the transient
@@ -374,7 +378,8 @@ def simulate(
         phase_rad=phase,
     )
     if return_trace:
-        return summary, Trace(t, z_arr, v_arr, emf_arr, p_load_arr)
+        emf_arr = coupling * v_arr
+        return summary, Trace(t, z_arr, v_arr, emf_arr, emf_arr * emf_arr * share)
     return summary
 
 

@@ -131,6 +131,8 @@ class TestFrequencyTable:
             frequency_table(make_beam(), [100e-6], [])
 
     def test_cell_invariants_still_enforced(self):
-        with pytest.raises(ValueError, match="width"):
+        # each cell is a BeamSpec, so a thickness above the width gets its message
+        with pytest.raises(ValueError, match=r"^thickness_m \(0\.00015\) must not exceed "
+                                             r"width_m \(0\.0001\)$"):
             frequency_table(make_beam(width=100e-6, thickness=50e-6),
                             [50e-6, 150e-6], [SILICON])

@@ -534,6 +534,24 @@ class TestExcitation:
         with pytest.raises(ValueError, match="omega_rad_per_s must be > 0"):
             Excitation.from_acceleration(3.0, 0.0)
 
+    def test_overflowing_amplitude_gets_the_constructor_message(self):
+        # 1.7e308 * sqrt(2) overflows to inf: the amplitude check words the error
+        with pytest.raises(ValueError, match=r"^amplitude_m must be >= 0 and finite, got inf$"):
+            Excitation.from_acceleration(1.7e308, 100.0, "rms")
+
+    @pytest.mark.parametrize("accel, convention", [(3.0, "peak"), (3.0, "rms"), (0.0, "peak")])
+    def test_from_acceleration_builds_the_constructor_record(self, accel, convention):
+        w = 2.0 * math.pi * 350.0
+        peak = accel * math.sqrt(2.0) if convention == "rms" else accel
+        e = Excitation.from_acceleration(accel, w, convention)
+        ref = Excitation(peak / w**2, w)
+        assert type(e) is Excitation
+        assert vars(e) == vars(ref)
+        assert e == ref and hash(e) == hash(ref)
+        for name in ("amplitude_m", "omega_rad_per_s"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(e, name, 1.0)
+
 
 class TestLoadVoltage:
     def test_measured_point(self):

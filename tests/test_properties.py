@@ -19,6 +19,7 @@ from emharvest.model import (
     CoilCircuit,
     Excitation,
     GeneratorParams,
+    _damping_terms,
     compose_q_factors,
     damping_coefficient_from_ratio,
     displacement_response,
@@ -284,6 +285,11 @@ def test_motion_equals_its_parts(design, wl_over_r):
     c_p, c_e, zeta_t = total_damping(g, c, w)
     assume(zeta_t >= 1e-12)
     rp = evaluate_response(g, c, e)
+    # total_damping is the tail of the terms evaluate_response reads whole
+    assert _damping_terms(g, c, w) == (
+        natural_frequency(g), c.coupling_v_s_per_m,
+        math.hypot(c.r_load_ohm + c.r_coil_ohm, w * c.l_coil_h), c_p, c_e, zeta_t,
+    )
     assert (c_p, c_e) == (damping_coefficient_from_ratio(g.zeta_parasitic, g),
                           em_damping_coefficient(c, w))
     assert (rp.z_amplitude_m, rp.phase_rad) == displacement_response(g, zeta_t, e)
