@@ -13,9 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from itertools import groupby, repeat
+from operator import eq
 
-from .model import _CONVENTIONS, DampingDecomposition, _check_magnitudes, compose_q_factors
+from .model import (
+    _CONVENTIONS, DampingDecomposition, _check_increasing, _check_magnitudes, compose_q_factors,
+)
 
 __all__ = [
     "SweepCurve",
@@ -79,8 +83,7 @@ class SweepCurve:
             raise ValueError("freqs_hz and magnitudes must have equal length")
         if len(self.freqs_hz) < 5:
             raise ValueError(f"need at least 5 sweep points, got {len(self.freqs_hz)}")
-        if any(b <= a for a, b in zip(self.freqs_hz, self.freqs_hz[1:])):
-            raise ValueError("freqs_hz must be strictly increasing")
+        _check_increasing("freqs_hz", self.freqs_hz)
         _check_magnitudes(
             (("excitation_acceleration_m_s2", self.excitation_acceleration_m_s2),),
             zip(repeat("freqs_hz"), self.freqs_hz),
@@ -124,8 +127,7 @@ class LoadSweep:
         if len(self.p_load_w) != n or len(self.p_total_w) != n:
             raise ValueError("all three columns must have equal length")
         _check_magnitudes(zip(repeat("r_load_ohm"), self.r_load_ohm))
-        if any(b <= a for a, b in zip(self.r_load_ohm, self.r_load_ohm[1:])):
-            raise ValueError("r_load_ohm must be strictly increasing")
+        _check_increasing("r_load_ohm", self.r_load_ohm)
         _check_magnitudes(nonnegative=zip(repeat("p_load_w"), self.p_load_w))
         _check_magnitudes(nonnegative=zip(repeat("p_total_w"), self.p_total_w))
         for pl, pt in zip(self.p_load_w, self.p_total_w):
@@ -202,23 +204,14 @@ def _parabola_vertex(
 
 
 def _peak_region(mags: tuple[float, ...]) -> tuple[int, int]:
-    """Start and end indices (inclusive) of the widest run of maximum values."""
-    peak = max(mags)
-    best_start = best_end = -1
-    best_len = 0
-    i = 0
-    n = len(mags)
-    while i < n:
-        if mags[i] == peak:
-            j = i
-            while j + 1 < n and mags[j + 1] == peak:
-                j += 1
-            if j - i + 1 > best_len:
-                best_start, best_end, best_len = i, j, j - i + 1
-            i = j + 1
-        else:
-            i += 1
-    return best_start, best_end
+    """Inclusive start and end indices of the first widest run of maximum values."""
+    best_start = best_len = start = 0
+    for at_peak, run in groupby(mags, partial(eq, max(mags))):
+        n = len(list(run))
+        if at_peak and n > best_len:
+            best_start, best_len = start, n
+        start += n
+    return best_start, best_start + best_len - 1
 
 
 def extract_q_half_power(s: SweepCurve) -> tuple[float, float]:

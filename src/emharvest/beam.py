@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import _check_magnitudes
+from .model import _check_increasing, _check_magnitudes
 
 __all__ = [
     "MaterialProps",
@@ -101,8 +101,7 @@ def frequency_table(
     t_list = [float(t) for t in thicknesses_m]
     if not t_list:
         raise ValueError("thicknesses_m must be non-empty")
-    if any(b <= a for a, b in zip(t_list, t_list[1:])):
-        raise ValueError("thicknesses_m must be strictly increasing")
+    _check_increasing("thicknesses_m", t_list)
     if not materials:
         raise ValueError("materials must be non-empty")
     return [

@@ -4,9 +4,10 @@ and catalog comparison.
 All numeric output uses scientific notation with 9 significant digits and
 plain ASCII separators, so identical inputs give byte-identical files.
 
-Exit codes: 0 success, 2 configuration problem, 4 simulation that did not
-reach steady state, 3 any other numerical precondition failure (including a
-non-finite command-line number and arithmetic that leaves the float range).
+Exit codes: 0 success, 2 configuration problem or an --out file that cannot
+be written, 4 simulation that did not reach steady state, 3 any other
+numerical precondition failure (including a non-finite command-line number
+and arithmetic that leaves the float range).
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ def _output(out: str | None) -> Iterator[TextIO]:
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as err:
+            raise ConfigError(f"--out: {err}") from err
+        with fh:
             yield fh
 
 
@@ -94,11 +99,15 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return scn
 
 
+def _drive(scn: Scenario, f_hz: float) -> Excitation:
+    """The scenario's base acceleration, driven at f_hz."""
+    return Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * f_hz, scn.accel_tag)
+
+
 def _cmd_model(args: argparse.Namespace) -> int:
     scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
-    w = 2.0 * math.pi * scn.freq_hz
-    e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
+    e = _drive(scn, scn.freq_hz)
     rp = evaluate_response(g, c, e)
     wn = natural_frequency(g)
     lines = [
@@ -134,25 +143,18 @@ def _cmd_model(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
+    rng = scn.freq_sweep if args.kind == "frequency" else scn.load_sweep
+    if rng is None:
+        raise ConfigError(f"scenario {scn.name!r} defines no {args.kind} sweep range")
+    rows = []
     if args.kind == "frequency":
-        rng = scn.freq_sweep
-        if rng is None:
-            raise ConfigError(f"scenario {scn.name!r} defines no frequency sweep range")
         names = ("freq_hz", "z_amp_m", "emf_rms_v", "p_load_w")
-        rows = []
         for f_hz in rng.values():
-            w = 2.0 * math.pi * f_hz
-            e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
-            rp = evaluate_response(g, c, e)
+            rp = evaluate_response(g, c, _drive(scn, f_hz))
             rows.append((f_hz, rp.z_amplitude_m, rp.emf_rms_v, rp.p_load_w))
     else:
-        rng = scn.load_sweep
-        if rng is None:
-            raise ConfigError(f"scenario {scn.name!r} defines no load sweep range")
-        w = 2.0 * math.pi * scn.freq_hz
-        e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
+        e = _drive(scn, scn.freq_hz)
         names = ("r_load_ohm", "p_load_w", "p_total_w")
-        rows = []
         for r_load in rng.values():
             circuit = CoilCircuit(c.turns, c.side_length_m, c.flux_density_t, c.r_coil_ohm,
                                   c.l_coil_h, r_load)
@@ -165,9 +167,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scn = _load_scenario(args)
     g, c = scn.generator.params, scn.generator.circuit
-    w = 2.0 * math.pi * scn.freq_hz
-    e = Excitation.from_acceleration(scn.accel_m_s2, w, scn.accel_tag)
-    cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, w)
+    e = _drive(scn, scn.freq_hz)
+    cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
     if args.out:
         summary, trace = simulate(g, c, e, cfg, return_trace=True)
     else:

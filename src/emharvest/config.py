@@ -291,6 +291,6 @@ def load_catalog(path: str | None = None) -> Catalog:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return _parse_text(text, path)

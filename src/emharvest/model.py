@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "GeneratorParams",
@@ -64,6 +64,12 @@ def _check_magnitudes(
     for name, x in nonnegative:
         if not 0.0 <= x < inf:
             raise ValueError(f"{name} must be >= 0 and finite, got {x}")
+
+
+def _check_increasing(name: str, xs: Sequence[float]) -> None:
+    """The one axis-order rule: a ValueError unless xs is strictly increasing."""
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
 
 
 def _pow(x: float, n: int) -> float:

@@ -29,6 +29,7 @@ from .model import (
     CoilCircuit,
     Excitation,
     GeneratorParams,
+    _check_increasing,
     _check_magnitudes,
     natural_frequency,
     total_damping,
@@ -54,6 +55,10 @@ _PHASE_BOUND_RAD = 1e-3
 
 # RK4 steps whose drive is sampled by one np.sin call per column
 _BLOCK_STEPS = 4096
+
+# the most steps a run may take: simulate holds ~80 bytes per step, so ~1.6 GB;
+# 3.5x the 5.66M steps that SimConfig.suggest takes at Q_T = 1e4
+_MAX_STEPS = 20_000_000
 
 
 class SimulationNotSettled(RuntimeError):
@@ -91,6 +96,11 @@ class SimConfig:
         if not 0.0 <= self.settle_fraction < 1.0:
             raise ValueError(
                 f"settle_fraction must be in [0, 1), got {self.settle_fraction}"
+            )
+        if self.duration_s / self.dt_s > _MAX_STEPS:
+            raise ValueError(
+                f"duration_s / dt_s must be at most {_MAX_STEPS} steps; got "
+                f"duration_s={self.duration_s} with dt_s={self.dt_s}"
             )
 
     @property
@@ -347,7 +357,8 @@ def simulate(
     coupling = c.coupling_v_s_per_m
     emf_rms = coupling * v_rms
     # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
-    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (c.r_load_ohm + c.r_coil_ohm) ** 2
+    r_series = c.r_load_ohm + c.r_coil_ohm
+    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
     emf_w = coupling * vw
     p_load_avg = float(np.mean(emf_w * emf_w * share))
     p_par_avg = float(np.mean(c_p * vw * vw))
@@ -402,8 +413,7 @@ def frequency_sweep_sim(
     omega_list = [float(o) for o in omegas]
     if not omega_list:
         raise ValueError("omegas must be non-empty")
-    if any(b <= a for a, b in zip(omega_list, omega_list[1:])):
-        raise ValueError("omegas must be strictly increasing")
+    _check_increasing("omegas", omega_list)
     circuit = replace(c, r_load_ohm=math.inf) if open_circuit else c
     out: list[tuple[float, TraceSummary]] = []
     for omega in omega_list:

@@ -20,7 +20,7 @@ from emharvest.analysis import (
     estimate_mass_displacement,
     normalize_power,
 )
-from emharvest.beam import BeamSpec, MaterialProps
+from emharvest.beam import BeamSpec, MaterialProps, frequency_table
 from emharvest.config import GeneratorAssembly, Scenario, SweepRange
 from emharvest.model import (
     CoilCircuit,
@@ -38,7 +38,7 @@ from emharvest.model import (
     natural_frequency,
     optimal_load,
 )
-from emharvest.sim import SimConfig, TraceSummary
+from emharvest.sim import SimConfig, TraceSummary, frequency_sweep_sim
 
 G = GeneratorParams(mass_kg=1e-3, stiffness_n_per_m=400.0, zeta_parasitic=0.01)
 C = CoilCircuit(turns=10, side_length_m=1e-3, flux_density_t=0.5, r_coil_ohm=1.0,
@@ -271,3 +271,20 @@ def test_result_out_of_float_range_rejected(case):
     call, name = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=re.escape(name) + ".*finite"):
         call()
+
+
+# Every axis a caller supplies must be strictly increasing; each is rejected
+# with the same message naming the axis, here with one repeated value.
+UNORDERED = {
+    "freqs_hz": lambda: SweepCurve((1.0, 2.0, 2.0, 3.0, 4.0), (0.1,) * 5, "V", 1.0),
+    "r_load_ohm": lambda: LoadSweep((1.0, 2.0, 2.0), (0.1,) * 3, (0.2,) * 3),
+    "omegas": lambda: frequency_sweep_sim(G, C, [100.0, 100.0], 1.0),
+    "thicknesses_m": lambda: frequency_table(
+        BeamSpec(5e-3, 2e-3, 5e-5, STEEL, 4.4e-4), [5e-5, 5e-5], [STEEL]),
+}
+
+
+@pytest.mark.parametrize("axis", UNORDERED)
+def test_unordered_axis_rejected(axis):
+    with pytest.raises(ValueError, match=f"^{axis} must be strictly increasing$"):
+        UNORDERED[axis]()

@@ -181,6 +181,24 @@ class TestModelCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["no_such_dir/report.txt", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        assert main(["model", "--scenario", "cantilever_nominal", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_undecodable_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(BENCH.replace("[device.bench]", "; caf\xe9\n[device.bench]")
+                         .encode("latin-1"))
+        assert main(["model", "--config", str(path), "--scenario", "bench_run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: 'utf-8' codec")
+        assert "Traceback" not in err
+
     def test_missing_scenario_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["model"])
@@ -305,6 +323,23 @@ class TestSimulateCommand:
         assert "total damping ratio" in captured.err
         assert "model and sweep" in captured.err
 
+    def test_unwritable_trace_out_exits_2(self, tmp_path, capsys):
+        cfg = bench_config(tmp_path)
+        argv = ["simulate", "--config", cfg, "--scenario", "bench_run", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_step_count_above_ceiling_exits_2(self, tmp_path, capsys):
+        # rejected while the catalog is read, before any array exists
+        cfg = bench_config(tmp_path, BENCH.replace("dt_s = 1e-4", "dt_s = 1e-300"))
+        assert main(["simulate", "--config", cfg, "--scenario", "bench_run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [scenario.bench_run] duration_s / dt_s ")
+        assert "duration_s=0.8 with dt_s=1e-300" in captured.err
+
     def test_step_too_coarse_for_natural_period_exits_3(self, tmp_path, capsys):
         # drive at w_n / 100 with dt = (1 / 1.2 Hz) / 60: fine for the drive,
         # far too coarse for the 120 Hz natural period
@@ -383,6 +418,14 @@ class TestBeamCommand:
         argv = list(self.ARGS)
         argv[argv.index("50e-6,100e-6,150e-6")] = "3e-3"
         assert main(argv) == 3
+
+    def test_length_out_of_float_range_exits_3(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("5e-3")] = "1e103"
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: value out of floating-point range: ")
 
 
 class TestCompareCommand:

@@ -681,6 +681,12 @@ class TestEvaluateResponse:
             math.sqrt(rp.p_load_w * 100.0), rel=1e-12
         )
 
+    def test_undamped_open_circuit_at_resonance_rejected(self):
+        g, c, _ = self._setup(math.inf)
+        g = GeneratorParams(g.mass_kg, g.stiffness_n_per_m, 0.0)
+        with pytest.raises(ValueError, match="unbounded at exact resonance"):
+            evaluate_response(g, c, Excitation(1e-6, natural_frequency(g)))
+
     def test_open_circuit_reports_emf_only(self):
         g, c, e = self._setup(math.inf)
         rp = evaluate_response(g, c, e)

@@ -103,6 +103,17 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="steps_per_period"):
                 SimConfig.suggest(make_gen(), None, 100.0, steps_per_period=steps)
 
+    # constructed only: a run this long would hold ~80 bytes per step
+    @pytest.mark.parametrize("dt", [1e-300, 1e-9])
+    def test_rejects_steps_above_ceiling(self, dt):
+        with pytest.raises(ValueError, match=r"duration_s / dt_s .*duration_s=2\.5 with dt_s="):
+            SimConfig(dt, 2.5)
+
+    def test_ceiling_admits_its_own_step_count(self):
+        assert SimConfig(1.0, float(sim._MAX_STEPS)).n_steps == sim._MAX_STEPS
+        with pytest.raises(ValueError, match="duration_s / dt_s"):
+            SimConfig(1.0, float(sim._MAX_STEPS + 1))
+
 
 class TestSimulate:
     def test_resonant_amplitude_matches_closed_form(self):
@@ -243,6 +254,30 @@ class TestSimulate:
         assert s.p_load_avg_w == float(np.mean(trace.p_load_w[i0:]))
         if r_load == math.inf:
             assert not trace.p_load_w.any()
+
+    def test_huge_load_resistance_delivers_no_load_power(self):
+        # (R_load + R_coil)^2 leaves the float range; the closed form reads 0 W
+        scn = emharvest.load_catalog().scenario("cantilever_nominal")
+        g = scn.generator.params
+        c = CoilCircuit(100, 5e-3, 0.3, 50.0, 0.0, 1e200)
+        e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+        assert evaluate_response(g, c, e).p_load_w == 0.0
+        assert simulate(g, c, e, scn.sim).p_load_avg_w == 0.0
+
+    def test_energy_audit_rejects_a_wrong_integrator(self, monkeypatch):
+        # z' 1% high everywhere: the work and heat integrals no longer balance
+        scn = emharvest.load_catalog().scenario("cantilever_nominal")
+        g, c = scn.generator.params, scn.generator.circuit
+        e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+
+        def spoiled(*args):
+            z, v = _rk4(*args)
+            return z, v * 1.01
+
+        monkeypatch.setattr(sim, "_rk4", spoiled)
+        with pytest.raises(ValueError,
+                           match=r"^energy balance residual 9\.09e-03 exceeds 0\.001; reduce dt_s$"):
+            simulate(g, c, e, scn.sim)
 
     def test_electrical_damping_lowers_amplitude(self):
         wn = 2.0 * math.pi * 9500.0
