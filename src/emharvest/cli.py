@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -62,6 +63,16 @@ def _output(out: str | None) -> Iterator[TextIO]:
             raise ConfigError(f"--out: {err}") from err
         with fh:
             yield fh
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out path that no open can write, without opening it: the
+    file is neither created nor truncated.  _output maps what this misses."""
+    if os.path.isdir(out):
+        raise ConfigError(f"--out: {out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out: no directory {parent!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -170,6 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     e = _drive(scn, scn.freq_hz)
     cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
     if args.out:
+        _check_out(args.out)
         summary, trace = simulate(g, c, e, cfg, return_trace=True)
     else:
         summary = simulate(g, c, e, cfg)

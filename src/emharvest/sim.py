@@ -143,6 +143,12 @@ class SimConfig:
             14.0 / (zeta_t * wn),
             30.0 * 2.0 * math.pi / omega_rad_per_s,
         )
+        if duration / dt > _MAX_STEPS:
+            raise ValueError(
+                f"the suggested run for Q_T={0.5 / zeta_t:.6g} takes {duration / dt:.0f} "
+                f"steps, over the {_MAX_STEPS}-step ceiling; set dt_s and duration_s "
+                f"in the catalog"
+            )
         return cls(dt_s=dt, duration_s=duration)
 
 
@@ -335,8 +341,6 @@ def simulate(
 
     i0 = int(cfg.settle_fraction * n_steps)
     zw = z_arr[i0:]
-    vw = v_arr[i0:]
-    tw = t[i0:]
 
     peaks = _refined_peaks(zw)
     if len(peaks) < 2:
@@ -351,28 +355,23 @@ def simulate(
             f"increase duration_s"
         )
     z_amp = float(np.mean(peaks))
-    v_rms = float(np.sqrt(np.mean(vw * vw)))
-    phase = _fit_phase(tw, zw, w)
-
-    coupling = c.coupling_v_s_per_m
-    emf_rms = coupling * v_rms
-    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
-    r_series = c.r_load_ohm + c.r_coil_ohm
-    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
-    emf_w = coupling * vw
-    p_load_avg = float(np.mean(emf_w * emf_w * share))
-    p_par_avg = float(np.mean(c_p * vw * vw))
+    phase = _fit_phase(t[i0:], zw, w)
 
     # bookkeeping over the whole trace, including the transient
     w_in = float(simpson(g.mass_kg * forcing * np.sin(w * t) * v_arr, x=t))
-    w_par = float(simpson(c_p * v_arr * v_arr, x=t))
-    w_el = float(simpson(c_e * v_arr * v_arr, x=t))
-    e_mech = (
-        0.5 * g.mass_kg * v_arr[-1] ** 2
-        + 0.5 * g.stiffness_n_per_m * z_arr[-1] ** 2
-    )
-    scale = max(abs(w_in), w_par + w_el + abs(e_mech))
-    residual = abs(w_in - w_par - w_el - e_mech) / scale if scale > 0.0 else 0.0
+    # every loss is a damper on z', so each power is c * <z'^2> over the window
+    v2 = v_arr * v_arr
+    ms = float(np.mean(v2[i0:]))
+    v_rms = math.sqrt(ms)
+    coupling = c.coupling_v_s_per_m
+    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
+    r_series = c.r_load_ohm + c.r_coil_ohm
+    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
+    w_diss = (c_p + c_e) * float(simpson(v2, x=t))
+    v_end, z_end = float(v_arr[-1]), float(z_arr[-1])
+    e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
+    scale = max(abs(w_in), w_diss + abs(e_mech))
+    residual = abs(w_in - w_diss - e_mech) / scale if scale > 0.0 else 0.0
     if not residual < _ENERGY_RESIDUAL_LIMIT:
         raise ValueError(
             f"energy balance residual {residual:.2e} exceeds "
@@ -382,9 +381,9 @@ def simulate(
     summary = TraceSummary(
         z_amp_m=z_amp,
         v_rel_rms_m_per_s=v_rms,
-        emf_rms_v=emf_rms,
-        p_load_avg_w=p_load_avg,
-        p_parasitic_avg_w=p_par_avg,
+        emf_rms_v=coupling * v_rms,
+        p_load_avg_w=coupling * coupling * share * ms,
+        p_parasitic_avg_w=c_p * ms,
         energy_balance_residual=residual,
         phase_rad=phase,
     )

@@ -331,6 +331,24 @@ class TestSimulateCommand:
         assert err.startswith("error: --out: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["", "no_such_dir/trace.csv"],
+                             ids=["a-directory", "missing-directory"])
+    def test_unwritable_trace_out_fails_before_the_run(self, tmp_path, capsys, target):
+        argv = ["simulate", "--scenario", "lateral_nominal", "--out", str(tmp_path / target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_out_is_not_created_by_a_failed_run(self, tmp_path, capsys):
+        text = BENCH.replace("r_load_ohm = 150", "r_load_ohm = 150\nl_coil_h = 1e-3")
+        cfg = bench_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        argv = ["simulate", "--config", cfg, "--scenario", "bench_run", "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
     def test_step_count_above_ceiling_exits_2(self, tmp_path, capsys):
         # rejected while the catalog is read, before any array exists
         cfg = bench_config(tmp_path, BENCH.replace("dt_s = 1e-4", "dt_s = 1e-300"))

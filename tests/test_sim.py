@@ -1,9 +1,10 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from emharvest.model import (
     displacement_response,
     evaluate_response,
     natural_frequency,
+    total_damping,
 )
 from emharvest.sim import (
     SimConfig,
@@ -102,6 +104,15 @@ class TestSimConfig:
         for steps in (10, math.nan, math.inf):
             with pytest.raises(ValueError, match="steps_per_period"):
                 SimConfig.suggest(make_gen(), None, 100.0, steps_per_period=steps)
+
+    def test_suggest_names_its_own_ceiling(self):
+        # constructed only: Q_T = 2.7e4 at 100 Hz fits, 2.8e4 does not
+        wn = 2.0 * math.pi * 100.0
+        assert SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 2.7e4), None, wn).n_steps == 19_612_345
+        with pytest.raises(ValueError, match=r"^the suggested run for Q_T=28000 takes 20588283 "
+                                             r"steps, over the 20000000-step ceiling; "
+                                             r"set dt_s and duration_s in the catalog$"):
+            SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 2.8e4), None, wn)
 
     # constructed only: a run this long would hold ~80 bytes per step
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
@@ -263,6 +274,27 @@ class TestSimulate:
         e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
         assert evaluate_response(g, c, e).p_load_w == 0.0
         assert simulate(g, c, e, scn.sim).p_load_avg_w == 0.0
+
+    @pytest.mark.parametrize("r_load", [110.0, math.inf])
+    def test_powers_are_damping_times_mean_square_velocity(self, r_load):
+        g = make_gen(zeta_p=0.05)
+        c = live_coil(r_load)
+        wn = natural_frequency(g)
+        s = simulate(g, c, Excitation(1e-6, wn), SimConfig.suggest(g, c, wn))
+        c_p = total_damping(g, c, wn)[0]
+        phi = c.coupling_v_s_per_m
+        share = 0.0 if r_load == math.inf else r_load / (r_load + c.r_coil_ohm) ** 2
+        ms = s.v_rel_rms_m_per_s ** 2
+        assert math.isclose(s.p_parasitic_avg_w, c_p * ms, rel_tol=1e-15)
+        assert math.isclose(s.p_load_avg_w, phi * phi * share * ms, rel_tol=1e-15)
+        assert (s.p_load_avg_w == 0.0) == (r_load == math.inf)
+
+    @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+    def test_bundled_summaries_hold_python_floats(self, name):
+        scn = emharvest.load_catalog().scenario(name)
+        g, c = scn.generator.params, scn.generator.circuit
+        e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+        assert [type(v) for v in astuple(simulate(g, c, e, scn.sim))] == [float] * 7
 
     def test_energy_audit_rejects_a_wrong_integrator(self, monkeypatch):
         # z' 1% high everywhere: the work and heat integrals no longer balance
@@ -468,3 +500,13 @@ def test_summary_bits_do_not_depend_on_blas_threads():
         outs.append(run.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count("\n") == 2
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # the second block uses the first one's g, c, w and e
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 2
