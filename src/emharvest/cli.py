@@ -68,6 +68,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
 def _check_out(out: str) -> None:
     """Refuse an --out path that no open can write, without opening it: the
     file is neither created nor truncated.  _output maps what this misses."""
+    if not out:
+        raise ConfigError("--out: empty path")
     if os.path.isdir(out):
         raise ConfigError(f"--out: {out!r} is a directory")
     parent = os.path.dirname(out) or "."
@@ -180,7 +182,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     g, c = scn.generator.params, scn.generator.circuit
     e = _drive(scn, scn.freq_hz)
     cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
         summary, trace = simulate(g, c, e, cfg, return_trace=True)
     else:
@@ -217,6 +219,8 @@ def _cmd_beam(args: argparse.Namespace) -> int:
         names = sorted(catalog.materials)
     if not names:
         raise ConfigError("no materials: --materials names none, or the catalog has none")
+    if repeated := sorted({n for n in names if names.count(n) > 1}):
+        raise ConfigError("--materials: repeated name(s): " + ", ".join(repeated))
     mats = [_lookup("material", n, catalog.materials) for n in names]
     try:
         thicknesses = [float(s) for s in args.thicknesses.split(",") if s.strip()]

@@ -5,10 +5,10 @@ Grammar: one entity per section, section names are "<kind>.<name>" with
 kind in {material, device, generator, scenario}; keys are the dataclass
 fields of the entity, and a field with a default is optional.  A scenario
 either references a generator section by name (generator = <name>) or
-carries the full generator key set inline.
-All problems (missing file, bad number, dangling reference, a key the
-section does not read, violated domain invariant) surface as ConfigError
-with the section and key named.
+carries the full generator key set inline; its sweep ranges are
+SweepRange's fields under a freq_ or load_ key prefix.
+All problems (missing file, bad number, dangling reference, unread key,
+violated domain invariant) surface as ConfigError naming section and key.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class SweepRange:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        _check_magnitudes(nonnegative=(("start", self.start), ("stop", self.stop)))
+        _check_magnitudes((("start", self.start), ("stop", self.stop)))
         if not 1 <= self.points <= _MAX_POINTS:
             raise ValueError(f"points must be in [1, {_MAX_POINTS}], got {self.points}")
         if self.points == 1:
@@ -73,8 +73,6 @@ class SweepRange:
             )
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be linear|log, got {self.scale!r}")
-        if self.scale == "log" and self.start == 0.0:
-            raise ValueError("log-scaled range needs start > 0")
 
     def values(self) -> list[float]:
         if self.points == 1:
@@ -176,12 +174,12 @@ class _Section:
                 f"[{self.name}] unknown or unused key(s): " + ", ".join(unread)
             )
 
-    def build(self, cls, /, **given):
-        """cls(**given), each other field read from the key of its name;
+    def build(self, cls, /, prefix="", **given):
+        """cls(**given), each other field read from the key prefix + its name;
         the dataclass's errors are recast as ConfigError."""
-        for key, kind, default in _keys(cls):
-            if key not in given:
-                given[key] = self.get(key, kind, default)
+        for name, kind, default in _keys(cls):
+            if name not in given:
+                given[name] = self.get(prefix + name, kind, default)
         try:
             return cls(**given)
         except ValueError as err:
@@ -195,20 +193,11 @@ def _parse_generator(sec: _Section, name: str) -> GeneratorAssembly:
     return GeneratorAssembly(name=name, params=params, circuit=circuit)
 
 
-def _parse_sweep(sec: _Section, prefix: str, default_scale: str) -> SweepRange | None:
-    start = sec.get(f"{prefix}_start", float, None)
-    stop = sec.get(f"{prefix}_stop", float, None)
-    points = sec.get(f"{prefix}_points", int, None)
-    present = [v is not None for v in (start, stop, points)]
-    if not any(present):
+def _parse_sweep(sec: _Section, axis: str, default: str) -> SweepRange | None:
+    # present if any range key is set; a lone <axis>_scale stays unread
+    if not any(f"{axis}_{key}" in sec.raw for key in ("start", "stop", "points")):
         return None
-    if not all(present):
-        raise ConfigError(
-            f"[{sec.name}] sweep needs all of {prefix}_start, {prefix}_stop, "
-            f"{prefix}_points"
-        )
-    scale = sec.get(f"{prefix}_scale", str, default_scale)
-    return sec.build(SweepRange, start=start, stop=stop, points=points, scale=scale)
+    return sec.build(SweepRange, f"{axis}_", scale=sec.get(f"{axis}_scale", str, default))
 
 
 def _parse_scenario(

@@ -164,7 +164,7 @@ class CoilCircuit:
         return self.turns * self.side_length_m * self.flux_density_t
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Excitation:
     """Sinusoidal base vibration y(t) = Y sin(w t), peak amplitude Y.
 
@@ -174,13 +174,9 @@ class Excitation:
     amplitude_m: float
     omega_rad_per_s: float
 
-    def __init__(self, amplitude_m: float, omega_rad_per_s: float) -> None:
-        if not (0.0 < omega_rad_per_s < math.inf and 0.0 <= amplitude_m < math.inf):
-            _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),),
-                              (("amplitude_m", amplitude_m),))
-        store = self.__dict__  # frozen: stored as in CoilCircuit
-        store["amplitude_m"] = amplitude_m
-        store["omega_rad_per_s"] = omega_rad_per_s
+    def __post_init__(self) -> None:
+        _check_magnitudes((("omega_rad_per_s", self.omega_rad_per_s),),
+                          (("amplitude_m", self.amplitude_m),))
 
     @property
     def acceleration_m_s2(self) -> float:
@@ -209,9 +205,9 @@ class Excitation:
             amplitude = peak / omega_rad_per_s**2
         except ArithmeticError as err:  # w**2 overflows, or underflows to 0
             raise ValueError(f"omega_rad_per_s**2 out of range, got {omega_rad_per_s}") from err
-        if not amplitude < math.inf:  # overflowed: __init__ words the error
+        if not amplitude < math.inf:  # overflowed: __post_init__ words the error
             return cls(amplitude, omega_rad_per_s)
-        # w and a finite A/w^2 >= 0 passed __init__'s checks above: store as it does
+        # w and a finite A/w^2 >= 0 pass __post_init__'s checks: store without rerunning them
         exc = object.__new__(cls)
         exc.__dict__["amplitude_m"] = amplitude
         exc.__dict__["omega_rad_per_s"] = omega_rad_per_s

@@ -341,6 +341,12 @@ class TestSimulateCommand:
         assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_trace_out_exits_2_before_the_run(self, capsys):
+        assert main(["simulate", "--scenario", "lateral_nominal", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out: empty path\n"
+
     def test_trace_out_is_not_created_by_a_failed_run(self, tmp_path, capsys):
         text = BENCH.replace("r_load_ohm = 150", "r_load_ohm = 150\nl_coil_h = 1e-3")
         cfg = bench_config(tmp_path, text)
@@ -422,6 +428,13 @@ class TestBeamCommand:
             "error: unknown material 'unobtainium'; "
             "available: beryllium_copper, silicon, stainless_302\n"
         )
+
+    def test_repeated_material_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "beam.csv"
+        argv = self.ARGS + ["--materials", "silicon,stainless_302, silicon", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --materials: repeated name(s): silicon\n"
+        assert not out.exists()
 
     def test_empty_material_list_exits_2(self, capsys):
         assert main(self.ARGS + ["--materials", " , "]) == 2

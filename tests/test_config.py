@@ -158,9 +158,12 @@ r_load_ohm = 20
          ("freq_points = 5", "freq_points = 5\nfreq_scal = log", "scenario.run", "freq_scal"),
          ("generator = unit", "generator = unit\nmass_kg = 2e-3", "scenario.run", "mass_kg"),
          ("freq_points = 5", "freq_points = 5\nsettle_fraction = 0.5", "scenario.run",
-          "settle_fraction")],
+          "settle_fraction"),
+         ("freq_start = 100\nfreq_stop = 140\nfreq_points = 5", "freq_scale = log",
+          "scenario.run", "freq_scale")],
         ids=["misspelled-generator-key", "misspelled-material-key", "device-extra-key",
-             "misspelled-scenario-key", "inline-key-beside-reference", "sim-key-without-sim"],
+             "misspelled-scenario-key", "inline-key-beside-reference", "sim-key-without-sim",
+             "scale-without-range"],
     )
     def test_unread_key_names_section_and_key(self, tmp_path, old, new, section, key):
         text = MINIMAL.replace(old, new)
@@ -213,6 +216,30 @@ r_load_ohm = 20
     def test_partial_sweep_rejected(self, tmp_path):
         text = MINIMAL.replace("freq_points = 5\n", "")
         with pytest.raises(ConfigError, match="freq_points"):
+            load_catalog(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("freq_start = 100", "freq_start = 0"),
+         ("freq_points = 5", "freq_points = 5\nload_start = 0\nload_stop = 100\n"
+          "load_points = 3\nload_scale = linear")],
+        ids=["freq", "linear-load"],
+    )
+    def test_zero_sweep_start_rejected_at_load(self, tmp_path, capsys, old, new):
+        # neither a 0 Hz drive nor a 0 ohm load can be evaluated
+        path = write(tmp_path, MINIMAL.replace(old, new))
+        message = r"^\[scenario.run\] start must be > 0 and finite, got 0.0$"
+        with pytest.raises(ConfigError, match=message):
+            load_catalog(path)
+        assert main(["model", "--config", path, "--scenario", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [scenario.run] start must be > 0 and finite, got 0.0\n"
+
+    def test_half_given_sweep_names_its_first_missing_key(self, tmp_path):
+        text = MINIMAL.replace("freq_stop = 140\nfreq_points = 5\n", "")
+        message = r"^\[scenario.run\] missing required key 'freq_stop'$"
+        with pytest.raises(ConfigError, match=message):
             load_catalog(write(tmp_path, text))
 
     def test_oversized_sweep_rejected_before_allocating(self, tmp_path):

@@ -266,6 +266,21 @@ class TestSimulate:
         if r_load == math.inf:
             assert not trace.p_load_w.any()
 
+    @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+    def test_bundled_load_power_is_coupling_share_times_mean_square_velocity(self, name):
+        scn = emharvest.load_catalog().scenario(name)
+        g, c = scn.generator.params, scn.generator.circuit
+        e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+        s, trace = simulate(g, c, e, scn.sim, return_trace=True)
+        i0 = int(scn.sim.settle_fraction * scn.sim.n_steps)
+        v2 = trace.zdot_m_s * trace.zdot_m_s
+        phi, r_series = c.coupling_v_s_per_m, c.r_load_ohm + c.r_coil_ohm
+        share = c.r_load_ohm / (r_series * r_series)
+        assert s.p_load_avg_w == phi * phi * share * float(np.mean(v2[i0:]))
+        # the per-sample column (phi z')^2 share rounds differently by an ulp or so
+        window_mean = float(np.mean(trace.p_load_w[i0:]))
+        assert math.isclose(window_mean, s.p_load_avg_w, rel_tol=1e-14)
+
     def test_huge_load_resistance_delivers_no_load_power(self):
         # (R_load + R_coil)^2 leaves the float range; the closed form reads 0 W
         scn = emharvest.load_catalog().scenario("cantilever_nominal")
