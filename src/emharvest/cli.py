@@ -24,11 +24,12 @@ import numpy as np
 
 from .analysis import compare_catalog
 from .beam import BeamSpec, frequency_table
-from .config import ConfigError, Scenario, _lookup, load_catalog
+from .config import Catalog, ConfigError, Scenario, _lookup, load_catalog
 from .model import (
     _CONVENTIONS,
     CoilCircuit,
     Excitation,
+    GeneratorParams,
     check_displacement_limit,
     damping_coefficient_from_ratio,
     evaluate_response,
@@ -105,22 +106,24 @@ def _emit_csv(names: Sequence[str], columns: Sequence[Sequence[float]], out: str
             fh.write(text)
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario:
-    scn = load_catalog(args.config).scenario(args.scenario)
-    if args.accel_tag:
-        scn = replace(scn, accel_tag=args.accel_tag)
-    return scn
-
-
 def _drive(scn: Scenario, f_hz: float) -> Excitation:
     """The scenario's base acceleration, driven at f_hz."""
     return Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * f_hz, scn.accel_tag)
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args)
-    g, c = scn.generator.params, scn.generator.circuit
-    e = _drive(scn, scn.freq_hz)
+def _scenario(
+    args: argparse.Namespace, catalog: Catalog
+) -> tuple[Scenario, GeneratorParams, CoilCircuit, Excitation]:
+    """The --scenario (with any --accel-tag), its generator's params and
+    circuit, and its drive at freq_hz."""
+    scn = catalog.scenario(args.scenario)
+    if args.accel_tag:
+        scn = replace(scn, accel_tag=args.accel_tag)
+    return scn, scn.generator.params, scn.generator.circuit, _drive(scn, scn.freq_hz)
+
+
+def _cmd_model(args: argparse.Namespace, catalog: Catalog) -> int:
+    scn, g, c, e = _scenario(args, catalog)
     rp = evaluate_response(g, c, e)
     wn = natural_frequency(g)
     lines = [
@@ -153,9 +156,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args)
-    g, c = scn.generator.params, scn.generator.circuit
+def _cmd_sweep(args: argparse.Namespace, catalog: Catalog) -> int:
+    scn, g, c, e = _scenario(args, catalog)
     rng = scn.freq_sweep if args.kind == "frequency" else scn.load_sweep
     if rng is None:
         raise ConfigError(f"scenario {scn.name!r} defines no {args.kind} sweep range")
@@ -166,7 +168,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rp = evaluate_response(g, c, _drive(scn, f_hz))
             rows.append((f_hz, rp.z_amplitude_m, rp.emf_rms_v, rp.p_load_w))
     else:
-        e = _drive(scn, scn.freq_hz)
         names = ("r_load_ohm", "p_load_w", "p_total_w")
         for r_load in rng.values():
             circuit = CoilCircuit(c.turns, c.side_length_m, c.flux_density_t, c.r_coil_ohm,
@@ -177,17 +178,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args)
-    g, c = scn.generator.params, scn.generator.circuit
-    e = _drive(scn, scn.freq_hz)
+def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
+    scn, g, c, e = _scenario(args, catalog)
     cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
-    if args.out is not None:
-        _check_out(args.out)
-        summary, trace = simulate(g, c, e, cfg, return_trace=True)
-    else:
-        summary = simulate(g, c, e, cfg)
-        trace = None
+    run = simulate(g, c, e, cfg, return_trace=args.out is not None)
+    summary, trace = run if args.out is not None else (run, None)
     lines = [
         f"scenario                : {scn.name}",
         f"steps                   : {cfg.n_steps}",
@@ -211,8 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_beam(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.config)
+def _cmd_beam(args: argparse.Namespace, catalog: Catalog) -> int:
     if args.materials:
         names = [s.strip() for s in args.materials.split(",") if s.strip()]
     else:
@@ -241,8 +235,7 @@ def _cmd_beam(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.config)
+def _cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     if not catalog.devices:
         raise ConfigError("catalog has no device sections")
     devices = sorted(catalog.devices.values(), key=lambda d: d.name)
@@ -343,7 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        if args.out is not None:
+            _check_out(args.out)  # before any work, for every subcommand
+        return args.run(args, load_catalog(args.config))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

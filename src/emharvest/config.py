@@ -66,11 +66,10 @@ class SweepRange:
             raise ValueError(f"points must be in [1, {_MAX_POINTS}], got {self.points}")
         if self.points == 1:
             if self.stop != self.start:
-                raise ValueError("a one-point range needs stop == start")
+                raise ValueError(f"stop must equal start {self.start} when points is 1, "
+                                 f"got {self.stop}")
         elif not self.stop > self.start:
-            raise ValueError(
-                f"range is empty or reversed: start={self.start}, stop={self.stop}"
-            )
+            raise ValueError(f"stop must be > start {self.start}, got {self.stop}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be linear|log, got {self.scale!r}")
 
@@ -176,14 +175,15 @@ class _Section:
 
     def build(self, cls, /, prefix="", **given):
         """cls(**given), each other field read from the key prefix + its name;
-        the dataclass's errors are recast as ConfigError."""
+        the dataclass's errors are recast as ConfigError with the prefix in
+        front, so that a message starting with a field name names its key."""
         for name, kind, default in _keys(cls):
             if name not in given:
                 given[name] = self.get(prefix + name, kind, default)
         try:
             return cls(**given)
         except ValueError as err:
-            raise ConfigError(f"[{self.name}] {err}") from err
+            raise ConfigError(f"[{self.name}] {prefix}{err}") from err
 
 
 def _parse_generator(sec: _Section, name: str) -> GeneratorAssembly:

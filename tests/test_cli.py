@@ -445,6 +445,14 @@ class TestBeamCommand:
         argv[argv.index("50e-6,100e-6,150e-6")] = "thin,thick"
         assert main(argv) == 2
 
+    def test_empty_thickness_list_exits_2(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("50e-6,100e-6,150e-6")] = ","
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --thicknesses: empty list\n"
+
     def test_thickness_wider_than_beam_exits_3(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("50e-6,100e-6,150e-6")] = "3e-3"
@@ -469,6 +477,13 @@ class TestCompareCommand:
         assert [row[1] for row in data] == ["pmg7", "cantilever_micro", "lateral_micro"]
         assert float(data[0][5]) == pytest.approx(2615.01210653753, rel=1e-8)
         assert float(data[1][5]) == pytest.approx(47.5, rel=1e-8)
+
+    def test_catalog_without_devices_exits_2(self, tmp_path, capsys):
+        cfg = bench_config(tmp_path, BENCH.split("[device.bench]")[0])
+        assert main(["compare", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalog has no device sections\n"
 
     def test_target_accel_rescales_but_keeps_order(self, capsys):
         assert main(["compare", "--target-accel", "1.0"]) == 0
@@ -501,6 +516,32 @@ def test_non_finite_command_line_number_exits_3(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+OUT_COMMANDS = {
+    "model": ["model", "--scenario", "cantilever_nominal"],
+    "sweep": ["sweep", "--kind", "frequency", "--scenario", "cantilever_nominal"],
+    "simulate": ["simulate", "--scenario", "lateral_nominal"],
+    "beam": TestBeamCommand.ARGS,
+    "compare": ["compare"],
+}
+
+
+@pytest.mark.parametrize("target", ["empty", "directory", "missing-directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, command, target):
+    # one rule for every subcommand: nothing runs, nothing is written or created
+    out, message = {
+        "empty": ("", "empty path"),
+        "directory": (str(tmp_path), f"{str(tmp_path)!r} is a directory"),
+        "missing-directory": (str(tmp_path / "missing" / "out.txt"),
+                              f"no directory {str(tmp_path / 'missing')!r}"),
+    }[target]
+    assert main([*OUT_COMMANDS[command], "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _reference_csv(names, columns):

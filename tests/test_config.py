@@ -175,7 +175,7 @@ r_load_ohm = 20
     @pytest.mark.parametrize(
         "old, new, match",
         [("accel_tag = rms", "accel_tag =", "accel_tag must be in"),
-         ("freq_points = 5", "freq_points = 5\nfreq_scale =", "scale must be linear")],
+         ("freq_points = 5", "freq_points = 5\nfreq_scale =", "freq_scale must be linear")],
         ids=["accel-tag", "sweep-scale"],
     )
     def test_empty_choice_rejected(self, tmp_path, old, new, match):
@@ -210,7 +210,7 @@ r_load_ohm = 20
 
     def test_reversed_sweep_rejected(self, tmp_path):
         text = MINIMAL.replace("freq_stop = 140", "freq_stop = 90")
-        with pytest.raises(ConfigError, match="reversed"):
+        with pytest.raises(ConfigError, match=r"freq_stop must be > start 100.0, got 90.0$"):
             load_catalog(write(tmp_path, text))
 
     def test_partial_sweep_rejected(self, tmp_path):
@@ -219,22 +219,22 @@ r_load_ohm = 20
             load_catalog(write(tmp_path, text))
 
     @pytest.mark.parametrize(
-        "old, new",
-        [("freq_start = 100", "freq_start = 0"),
+        "old, new, key",
+        [("freq_start = 100", "freq_start = 0", "freq_start"),
          ("freq_points = 5", "freq_points = 5\nload_start = 0\nload_stop = 100\n"
-          "load_points = 3\nload_scale = linear")],
+          "load_points = 3\nload_scale = linear", "load_start")],
         ids=["freq", "linear-load"],
     )
-    def test_zero_sweep_start_rejected_at_load(self, tmp_path, capsys, old, new):
+    def test_zero_sweep_start_rejected_at_load(self, tmp_path, capsys, old, new, key):
         # neither a 0 Hz drive nor a 0 ohm load can be evaluated
         path = write(tmp_path, MINIMAL.replace(old, new))
-        message = r"^\[scenario.run\] start must be > 0 and finite, got 0.0$"
+        message = rf"^\[scenario.run\] {key} must be > 0 and finite, got 0.0$"
         with pytest.raises(ConfigError, match=message):
             load_catalog(path)
         assert main(["model", "--config", path, "--scenario", "run"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: [scenario.run] start must be > 0 and finite, got 0.0\n"
+        assert captured.err == f"error: [scenario.run] {key} must be > 0 and finite, got 0.0\n"
 
     def test_half_given_sweep_names_its_first_missing_key(self, tmp_path):
         text = MINIMAL.replace("freq_stop = 140\nfreq_points = 5\n", "")
@@ -245,11 +245,29 @@ r_load_ohm = 20
     def test_oversized_sweep_rejected_before_allocating(self, tmp_path):
         text = MINIMAL.replace("freq_points = 5", "freq_points = 1000000000")
         path = write(tmp_path, text)
-        message = r"\[scenario.run\] points must be in \[1, 1000000\], got 1000000000$"
+        message = r"\[scenario.run\] freq_points must be in \[1, 1000000\], got 1000000000$"
         with pytest.raises(ConfigError, match=message):
             load_catalog(path)
         assert main(["sweep", "--kind", "frequency", "--config", path,
                      "--scenario", "run"]) == 2
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("freq_points = 5", "freq_points = 5\nload_start = 10\nload_stop = 20\n"
+          "load_points = 1",
+          "load_stop must equal start 10.0 when points is 1, got 20.0"),
+         ("freq_points = 5", "freq_points = 5\nload_start = 10\nload_stop = 20\n"
+          "load_points = 0",
+          "load_points must be in [1, 1000000], got 0")],
+        ids=["one-point-load", "load-points"],
+    )
+    def test_sweep_range_error_names_the_catalog_key(self, tmp_path, capsys, old, new,
+                                                      message):
+        path = write(tmp_path, MINIMAL.replace(old, new))
+        assert main(["model", "--config", path, "--scenario", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [scenario.run] {message}\n"
 
     def test_dt_without_duration_rejected(self, tmp_path):
         text = MINIMAL + "dt_s = 1e-4\n"

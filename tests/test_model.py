@@ -475,6 +475,16 @@ class TestComposeQFactors:
         with pytest.raises(ValueError):
             compose_q_factors(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, bound",
+        [(dict(q_total=220.0, q_open_circuit=216.0), "q_open_circuit"),
+         (dict(q_total=200.0, q_electrical=100.0), "q_electrical")],
+        ids=["open-circuit", "electrical"],
+    )
+    def test_names_the_bound_the_total_breaks(self, kwargs, bound):
+        with pytest.raises(ValueError, match=rf"must be below {bound}"):
+            compose_q_factors(**kwargs)
+
 
 class TestExcitation:
     def test_peak_base_amplitude_at_350_hz(self):
@@ -644,6 +654,20 @@ class TestHandWrittenInit:
 
 
 class TestDampingDecompositionType:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [(dict(q_total=300.0, q_electrical=200.0, zeta_e=1.0 / 400.0, zeta_t=1.0 / 600.0),
+          "loaded Q cannot exceed either contributing Q"),
+         (dict(zeta_e=1.0 / 400.0 + 1e-12), r"zeta fields must equal 1/\(2Q\) exactly")],
+        ids=["total-above-electrical", "zeta-off-by-a-hair"],
+    )
+    def test_names_the_rule_it_breaks(self, changes, message):
+        valid = dict(q_total=100.0, q_open_circuit=200.0, q_electrical=200.0,
+                     zeta_p=1.0 / 400.0, zeta_e=1.0 / 400.0, zeta_t=1.0 / 200.0)
+        DampingDecomposition(**valid)
+        with pytest.raises(ValueError, match=message):
+            DampingDecomposition(**{**valid, **changes})
+
     def test_rejects_inconsistent_triple(self):
         with pytest.raises(ValueError):
             DampingDecomposition(

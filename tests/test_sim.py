@@ -154,6 +154,17 @@ class TestSimulate:
         assert s.p_parasitic_avg_w == 0.0
         assert s.energy_balance_residual == 0.0
 
+    def test_zero_excitation_trace_is_all_zero(self):
+        g = make_gen()
+        cfg = SimConfig(1e-4, 0.5)
+        s, trace = simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), cfg,
+                            return_trace=True)
+        assert s.z_amp_m == 0.0
+        np.testing.assert_array_equal(trace.t_s, np.arange(cfg.n_steps + 1) * cfg.dt_s)
+        for column in (trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w):
+            assert column.shape == (cfg.n_steps + 1,)
+            assert not column.any()
+
     @pytest.mark.parametrize("zeta", [0.002, 0.0063245553203367585, 0.02, 0.0632455532033676, 0.2])
     @pytest.mark.parametrize("ratio", [0.5, 0.875, 1.25, 1.625, 2.0])
     def test_oracle_grid_amplitude_and_phase(self, zeta, ratio):
