@@ -1,4 +1,4 @@
-"""CSV rows of floats in "%.8e", a whole block at a time with numpy.
+"""CSV files of floats in "%.8e": write_csv, a whole block at a time with numpy.
 
 format_rows gives exactly the bytes of ``%`` with "%.8e" per value, ","
 between a row's values and "\\n" after each row, or None where it cannot
@@ -14,7 +14,7 @@ prove that.  Per value x:
 4. The text is gathered from NUL-padded 4-byte word tables and the padding
    deleted.
 
-The caller formats a block with ``%`` when this returns None: a value
+write_csv formats a block with ``%`` when this returns None: a value
 non-finite, with |e| > _EXP_LIMIT (subnormals, 3-digit exponents near the
 float range's ends), near a tie, or rounding to 1e9 (the next decade).
 """
@@ -22,6 +22,7 @@ float range's ends), near a tie, or rounding to 1e9 (the next decade).
 from __future__ import annotations
 
 import functools
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -31,6 +32,8 @@ _EXP_LIMIT = 290
 # wider than the ~2.3e-7 error of s, so rint rounds s as it would the exact
 # value wherever s is further than this from a tie
 _TIE_MARGIN = 1e-6
+# rows formatted per write: the trace's 125k rows never exist as one string
+_BLOCK_ROWS = 4096
 
 
 @functools.cache
@@ -85,3 +88,19 @@ def format_rows(block: np.ndarray) -> str | None:
     words[:, 3] = tail0[tail]
     words[:, 4] = tail1[tail]
     return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_csv(fh: TextIO, names: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """Write the column names, then one row per index of the equal-length
+    columns, a block at a time so memory does not grow with the row count.
+    A block that format_rows declines goes through one ``%`` over its
+    flattened values; the bytes are the same either way."""
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%.8e"] * len(names)) + "\n"
+    fh.write(",".join(names) + "\n")
+    for i in range(0, len(cols[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[i:i + _BLOCK_ROWS] for col in cols])
+        text = format_rows(block)
+        if text is None:
+            text = row * len(block) % tuple(block.ravel().tolist())
+        fh.write(text)

@@ -17,10 +17,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterator, Sequence, TextIO
-
-import numpy as np
 
 from .analysis import compare_catalog
 from .beam import BeamSpec, frequency_table
@@ -41,15 +39,11 @@ from .sim import SimConfig, SimulationNotSettled, simulate
 __all__ = ["main"]
 
 
-_NUM = "%.8e"  # _csvrows.format_rows writes exactly these bytes
+_NUM = "%.8e"  # _csvrows.write_csv writes every CSV value in this format too
 
 
 def _num(x: float) -> str:
     return _NUM % x
-
-
-# rows formatted per write: the trace's 125k rows never exist as one string
-_BLOCK_ROWS = 4096
 
 
 @contextmanager
@@ -84,26 +78,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_csv(names: Sequence[str], columns: Sequence[Sequence[float]], out: str | None) -> None:
-    """Write a CSV: the column names, then one row in the _num format per
-    index of the equal-length columns.
-
-    Rows are formatted and written a block at a time, so memory does not
-    grow with the row count.  Each block goes through the vectorised
-    _csvrows.format_rows, or, where that cannot prove a value, through one
-    ``%`` over its flattened values; the bytes are the same either way.
-    """
-    from ._csvrows import format_rows  # compiled only by commands that write a CSV
-
-    cols = [np.asarray(col, dtype=float) for col in columns]
-    row = ",".join([_NUM] * len(names)) + "\n"
+    """Write the columns as a CSV (see _csvrows.write_csv) to --out or stdout."""
+    from ._csvrows import write_csv  # numpy formatting, loaded only by commands that write a CSV
     with _output(out) as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(0, len(cols[0]), _BLOCK_ROWS):
-            block = np.column_stack([col[i:i + _BLOCK_ROWS] for col in cols])
-            text = format_rows(block)
-            if text is None:
-                text = row * len(block) % tuple(block.ravel().tolist())
-            fh.write(text)
+        write_csv(fh, names, columns)
 
 
 def _drive(scn: Scenario, f_hz: float) -> Excitation:
@@ -198,11 +176,8 @@ def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if trace is not None:
-        _emit_csv(
-            ("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w"),
-            (trace.t_s, trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w),
-            args.out,
-        )
+        names = [f.name for f in fields(trace)]
+        _emit_csv(names, [getattr(trace, name) for name in names], args.out)
     return 0
 
 

@@ -416,9 +416,9 @@ def frequency_sweep_sim(
     circuit = replace(c, r_load_ohm=math.inf) if open_circuit else c
     out: list[tuple[float, TraceSummary]] = []
     for omega in omega_list:
-        exc = Excitation.from_acceleration(accel_m_s2, omega, convention)
-        point_cfg = cfg if cfg is not None else SimConfig.suggest(g, circuit, omega)
         try:
+            exc = Excitation.from_acceleration(accel_m_s2, omega, convention)
+            point_cfg = cfg if cfg is not None else SimConfig.suggest(g, circuit, omega)
             out.append((omega, simulate(g, circuit, exc, point_cfg)))
         except (ValueError, SimulationNotSettled) as err:
             raise SweepPointError(omega, err) from err

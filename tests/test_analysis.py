@@ -7,6 +7,7 @@ from emharvest.analysis import (
     DeviceRecord,
     LoadSweep,
     SweepCurve,
+    _parabola_vertex,
     compare_catalog,
     decompose_damping,
     estimate_mass_displacement,
@@ -206,6 +207,15 @@ class TestExtractQHalfPower:
         )
         with pytest.raises(ValueError, match="not bracketed"):
             extract_q_half_power(curve)
+
+
+# no interior maximum to refine toward: the middle point comes back
+@pytest.mark.parametrize("points, vertex", [
+    ((0.0, 0.0, 1.0, 1.0, 2.0, 2.0), (1.0, 1.0)),
+    ((0.0, 1.0, 1.0, 0.0, 2.0, 1.0), (1.0, 0.0)),
+], ids=["collinear", "convex"])
+def test_parabola_vertex_falls_back_to_the_middle_point(points, vertex):
+    assert _parabola_vertex(*points) == vertex
 
 
 class TestDecomposeDamping:

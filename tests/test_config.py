@@ -14,7 +14,13 @@ from emharvest.config import (
     SweepRange,
     load_catalog,
 )
-from emharvest.model import CoilCircuit, GeneratorParams, natural_frequency
+from emharvest.model import (
+    CoilCircuit,
+    Excitation,
+    GeneratorParams,
+    evaluate_response,
+    natural_frequency,
+)
 from emharvest.sim import SimConfig
 
 MINIMAL = """
@@ -79,6 +85,19 @@ class TestBundledCatalog:
         assert scn.freq_sweep is not None and scn.freq_sweep.points == 81
         assert scn.load_sweep is not None and scn.load_sweep.scale == "log"
         assert scn.sim is not None and scn.sim.dt_s == 2e-5
+
+    # each generator at its same-named device's resonance and measured acceleration
+    @pytest.mark.parametrize("name, p_load_w, rel", [
+        ("cantilever_micro", 2.85e-6, 1e-6),  # the device's measured power
+        ("lateral_micro", 2.011e-8, 1e-3),  # illustrative: 6.07x below its device's 1.22e-7 W
+    ])
+    def test_generator_against_its_measured_device(self, name, p_load_w, rel):
+        cat = load_catalog()
+        gen, dev = cat.generators[name], cat.devices[name]
+        e = Excitation.from_acceleration(dev.measured_at_acceleration_m_s2,
+                                         2.0 * math.pi * dev.resonant_frequency_hz)
+        p_load = evaluate_response(gen.params, gen.circuit, e).p_load_w
+        assert p_load == pytest.approx(p_load_w, rel=rel)
 
     def test_lateral_generator_has_travel_limit(self):
         g = load_catalog().generators["lateral_micro"].params

@@ -346,6 +346,11 @@ class TestSimulate:
         s_loaded = simulate(g, live_coil(), e, cfg)
         assert s_loaded.z_amp_m < s_open.z_amp_m
 
+    def test_phase_fit_wrapped_just_past_pi_reads_pi(self):
+        w = 2.0 * math.pi * 100.0
+        t = np.arange(20_001) * 1e-5
+        assert sim._fit_phase(t, np.sin(w * t - (math.pi + 1e-9)), w) == math.pi
+
 
 def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
     """The per-step form of sim._rk4: math.sin at every step, states kept in
@@ -427,6 +432,57 @@ class TestBlockedDrive:
         assert new_s == ref_s, self.MISMATCH
 
 
+def exact_from_rest(t, forcing, w, zeta, wn):
+    """z(t) of z'' + 2 zeta wn z' + wn^2 z = forcing sin(w t) from rest, in
+    closed form, and its steady amplitude A: the steady sinusoid
+    A sin(w t - lag) plus the damped ringing at w_d that cancels it at t = 0,
+    exp(-zeta wn t) (A sin(lag) cos(w_d t) + c2 sin(w_d t))."""
+    amp = forcing / math.hypot(wn * wn - w * w, 2.0 * zeta * wn * w)
+    lag = math.atan2(2.0 * zeta * wn * w, wn * wn - w * w)
+    wd = wn * math.sqrt(1.0 - zeta * zeta)
+    c1 = amp * math.sin(lag)
+    c2 = (zeta * wn * c1 - amp * w * math.cos(lag)) / wd  # z'(0) = 0
+    ring = np.exp(-zeta * wn * t) * (c1 * np.cos(wd * t) + c2 * np.sin(wd * t))
+    return amp * np.sin(w * t - lag) + ring, amp
+
+
+class TestExactTransient:
+    """The RK4 trace, transient included, against the exact from-rest
+    response, which shares no arithmetic with _rk4 or evaluate_response."""
+
+    @staticmethod
+    def _bundled(name):
+        """A bundled scenario's (g, c, e, cfg, zeta_T) and the exact response
+        z on its sample grid, with the steady amplitude A."""
+        scn = emharvest.load_catalog().scenario(name)
+        g, c = scn.generator.params, scn.generator.circuit
+        e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+        w, wn = e.omega_rad_per_s, natural_frequency(g)
+        zeta = total_damping(g, c, w)[2]
+        t = np.arange(scn.sim.n_steps + 1) * scn.sim.dt_s
+        z, amp = exact_from_rest(t, e.amplitude_m * w * w, w, zeta, wn)
+        return g, c, e, scn.sim, zeta, z, amp
+
+    @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+    def test_rk4_trace_within_its_phase_error_of_exact(self, name):
+        g, c, e, cfg, zeta, z, amp = self._bundled(name)
+        _, trace = simulate(g, c, e, cfg, return_trace=True)
+        # RK4's phase error 2 Q_T (w h)^4 / 120 sets the whole deviation
+        # (1.000005x and 1.00004x of it on the two scenarios)
+        q_t = 0.5 / zeta
+        phase_error = 2.0 * q_t * (e.omega_rad_per_s * cfg.dt_s) ** 4 / 120.0
+        assert np.max(np.abs(trace.z_m - z)) <= 1.01 * phase_error * amp
+
+    @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+    def test_window_peak_is_the_closed_form_amplitude(self, name):
+        g, c, e, cfg, zeta, z, _ = self._bundled(name)
+        i0 = int(cfg.settle_fraction * cfg.n_steps)
+        # what is left of the transient when the measurement window opens
+        left = math.exp(-zeta * natural_frequency(g) * i0 * cfg.dt_s)
+        expected = evaluate_response(g, c, e).z_amplitude_m
+        assert np.max(z[i0:]) == pytest.approx(expected, rel=left)
+
+
 class TestFrequencySweep:
     def test_single_point_equals_simulate(self):
         g = make_gen(zeta_p=0.05)
@@ -463,15 +519,29 @@ class TestFrequencySweep:
         with pytest.raises(ValueError):
             frequency_sweep_sim(make_gen(), dead_coil(), omegas, 3.0)
 
-    def test_per_point_failure_carries_frequency(self):
-        wn = 2.0 * math.pi * 350.0
-        g = GeneratorParams(4.4e-4, 4.4e-4 * wn * wn, 0.0023)
-        cfg = SimConfig(2e-5, 0.1, 0.5)  # far too short to settle
-        with pytest.warns(UserWarning):
-            with pytest.raises(SweepPointError) as err:
-                frequency_sweep_sim(g, dead_coil(), [wn], 3.0, cfg)
-        assert err.value.omega_rad_per_s == wn
-        assert isinstance(err.value.cause, SimulationNotSettled)
+    W_N = 2.0 * math.pi * 350.0
+
+    @pytest.mark.parametrize("zeta_p, omega, cfg, cause, message", [
+        # far too short to settle
+        (0.0023, W_N, SimConfig(2e-5, 0.1, 0.5), SimulationNotSettled, "drifting"),
+        # SimConfig.suggest fails at the point: no run settles undamped, and
+        # Q_T = 3e4 takes 22,459,946 suggested steps
+        (0.0, W_N, None, ValueError, "undamped run never settles"),
+        (0.5 / 3e4, W_N, None, ValueError, "over the 20000000-step ceiling"),
+        # the point's drive fails: omega^2 leaves the float range
+        (0.0023, 1e160, None, ValueError, r"omega_rad_per_s\*\*2 out of range"),
+    ], ids=["not-settled", "undamped", "over-step-ceiling", "drive-out-of-range"])
+    def test_per_point_failure_carries_frequency(self, recwarn, zeta_p, omega, cfg, cause,
+                                                 message):
+        g = GeneratorParams(4.4e-4, 4.4e-4 * self.W_N * self.W_N, zeta_p)
+        with pytest.raises(SweepPointError, match=message) as err:
+            frequency_sweep_sim(g, dead_coil(), [omega], 3.0, cfg)
+        assert err.value.omega_rad_per_s == omega
+        assert type(err.value.cause) is cause
+        assert err.value.__cause__ is err.value.cause
+        # only the short run is warned about, for its settling guideline
+        warned = [w for w in recwarn if issubclass(w.category, UserWarning)]
+        assert len(warned) == (0 if cfg is None else 1)
 
     def test_half_power_q_round_trip(self):
         # open-circuit EMF sweep across the resonance of a Q=216 device,
