@@ -161,6 +161,9 @@ def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
     cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
     run = simulate(g, c, e, cfg, return_trace=args.out is not None)
     summary, trace = run if args.out is not None else (run, None)
+    if trace is not None:  # first, so that an --out the open refuses leaves stdout empty
+        names = [f.name for f in fields(trace)]
+        _emit_csv(names, [getattr(trace, name) for name in names], args.out)
     lines = [
         f"scenario                : {scn.name}",
         f"steps                   : {cfg.n_steps}",
@@ -175,9 +178,6 @@ def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
         f"energy residual         : {_num(summary.energy_balance_residual)}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    if trace is not None:
-        names = [f.name for f in fields(trace)]
-        _emit_csv(names, [getattr(trace, name) for name in names], args.out)
     return 0
 
 

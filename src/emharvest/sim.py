@@ -6,8 +6,10 @@ The relative coordinate z (mass motion minus base motion) obeys
 
 for a base displacement Y sin(w t).  The integrator is the classical
 fourth-order Runge-Kutta scheme with a fixed step, started from rest, so
-traces are exactly reproducible.  Steady-state numbers are taken from the
-tail of the trace after the start-up transient has died away.
+traces are exactly reproducible.  The equation is linear, so one RK4 step is
+a fixed linear map and the whole run is evaluated from it in closed form
+rather than stepped.  Steady-state numbers are taken from the tail of the
+trace after the start-up transient has died away.
 
 Both routes take their damping from :func:`emharvest.model.total_damping`;
 only the response itself is computed independently, numerically, so the two
@@ -53,7 +55,7 @@ _ENERGY_RESIDUAL_LIMIT = 1e-3
 # RK4 phase error, 2 Q_T (w dt)^4 / 120, that SimConfig.suggest's step allows
 _PHASE_BOUND_RAD = 1e-3
 
-# RK4 steps whose drive is sampled by one np.sin call per column
+# the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
 # the most steps a run may take: simulate holds ~80 bytes per step, so ~1.6 GB;
@@ -230,49 +232,85 @@ def _rk4(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
 
-    t is the sample grid i*dt; returns z and z' at every sample.  The drive
-    is sampled per block of steps with np.sin, outside the interpreted step
-    loop; each step's arithmetic is the per-step form with math.sin, operand
-    for operand, so the bits equal it wherever the build's np.sin and
-    math.sin agree (tests/test_sim.py checks this).
-    """
-    n_steps = len(t) - 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    t is the sample grid i*dt, whose length sets the run; returns z and z' at
+    every sample.  The system is linear and time-invariant, so one RK4 step
+    of the state x = (z, z') is the exact map x_(i+1) = P x_i + Im(g q^i),
+    with A = [[0, 1], [-wn2, -two_zw]], M = dt A,
+    P = I + M + M^2/2 + M^3/6 + M^4/24, q = e^(i w dt) and
+    g = forcing dt/6 ((I + M + M^2/2 + M^3/4) + (4I + 2M + M^2/2) q^(1/2) + q) (0, 1)
+    (exact discretisation: Van Loan 1978, IEEE Trans. Autom. Control 23:395).
+    From a block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where
+    R_j = sum over k < j of P^(j-1-k) g q^k is the response j steps after
+    rest; P^j and R_j are tabulated once per run by doubling, and each block
+    is evaluated from them in closed form, with no step loop.
 
-    z = 0.0
-    v = 0.0
-    z_arr = np.empty(n_steps + 1)
-    v_arr = np.empty(n_steps + 1)
-    z_arr[0] = v_arr[0] = 0.0
-    for b in range(0, n_steps, _BLOCK_STEPS):
-        # the drive at t0 = i*dt, t0 + dt/2 and t0 + dt for the block's steps;
-        # t0 + dt is not (i+1)*dt in the last bit, so f1 is not the next f0
-        t0 = t[b:min(b + _BLOCK_STEPS, n_steps)]
-        zs = []
-        vs = []
-        for f0, fm, f1 in zip(
-            (forcing * np.sin(w * t0)).tolist(),
-            (forcing * np.sin(w * (t0 + half))).tolist(),
-            (forcing * np.sin(w * (t0 + dt))).tolist(),
-        ):
-            a1 = f0 - two_zw * v - wn2 * z
-            z2 = z + half * v
-            v2 = v + half * a1
-            a2 = fm - two_zw * v2 - wn2 * z2
-            z3 = z + half * v2
-            v3 = v + half * a2
-            a3 = fm - two_zw * v3 - wn2 * z3
-            z4 = z + dt * v3
-            v4 = v + dt * a3
-            a4 = f1 - two_zw * v4 - wn2 * z4
-            z += sixth * (v + 2.0 * (v2 + v3) + v4)
-            v += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            zs.append(z)
-            vs.append(v)
-        z_arr[b + 1:b + 1 + len(zs)] = zs
-        v_arr[b + 1:b + 1 + len(vs)] = vs
-    return z_arr, v_arr
+    This is the RK4 solution, phase error included, rounded differently:
+    tests/test_sim.py holds it to the per-step loop within 1e-11 of the
+    run's largest value.  Each sample depends on its index alone, so a run
+    is the first samples of any longer run on the same grid.  The drive
+    phases are the exact w dt i, not the float w (i dt): a block holds its
+    first phase's rounding, ~1e-16 w t, for all its steps, which takes a
+    1M-step run past that bound (test_long_run_keeps_the_drive_phase).
+    """
+    from fractions import Fraction  # here, so that commands without a run do not import it
+
+    n_samples = len(t)
+
+    def poly(coeffs, x, y):
+        # sum of coeffs[k] M^k (x, y) by Horner, with M (x, y) = dt (y, -wn2 x - two_zw y)
+        rx, ry = coeffs[-1] * x, coeffs[-1] * y
+        for c in coeffs[-2::-1]:
+            rx, ry = dt * ry + c * x, -dt * (wn2 * rx + two_zw * ry) + c * y
+        return rx, ry
+
+    w_dt = Fraction(w) * Fraction(dt)
+
+    def cis(steps):
+        # e^(i w dt steps) from the exact phase w dt steps, split as hi + lo
+        phase = w_dt * steps
+        hi = float(phase)
+        lo = float(phase - Fraction(hi))
+        return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
+
+    e00, e10 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 1.0, 0.0)
+    e01, e11 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 0.0, 1.0)
+    q_half = cis(Fraction(1, 2))
+    g0, gm = poly((1.0, 1.0, 0.5, 0.25), 0.0, 1.0), poly((4.0, 2.0, 0.5), 0.0, 1.0)
+    scale = forcing * dt / 6.0
+
+    # E_j = P^j - I (rows e00, e01, e10, e11) and R_j for j <= m;
+    # E_(m+j) = E_m + E_j + E_m E_j and R_(m+j) = R_m + E_j R_m + q^m R_j
+    # extend them to j <= 2m in one pass.  I is kept apart: rounding 1 + e
+    # moves P's eigenvalues by ~1e-16, which the resonant response
+    # amplifies by 1/(zeta w dt)
+    et = np.array([[0.0, e00], [0.0, e01], [0.0, e10], [0.0, e11]])
+    rt = np.array([[0.0, scale * (g0[0] + gm[0] * q_half)],
+                   [0.0, scale * (g0[1] + gm[1] * q_half + cis(1))]])
+    m = 1
+    while m < min(n_samples, _BLOCK_STEPS):
+        (a00, a01, a10, a11), (r0, r1), qm = et[:, m], rt[:, m], cis(m)
+        ej, rj = et[:, 1:], rt[:, 1:]
+        et = np.hstack((et, [a00 + ej[0] + (a00 * ej[0] + a01 * ej[2]),
+                             a01 + ej[1] + (a00 * ej[1] + a01 * ej[3]),
+                             a10 + ej[2] + (a10 * ej[0] + a11 * ej[2]),
+                             a11 + ej[3] + (a10 * ej[1] + a11 * ej[3])]))
+        rt = np.hstack((rt, [r0 + (ej[0] * r0 + ej[1] * r1) + qm * rj[0],
+                             r1 + (ej[2] * r0 + ej[3] * r1) + qm * rj[1]]))
+        m *= 2
+    r_re, r_im = np.ascontiguousarray(rt.real), np.ascontiguousarray(rt.imag)
+
+    # blocks of m steps share their end sample, which is the next block's start state
+    starts = range(0, max(n_samples - 1, 1), m)
+    z_arr = np.empty(len(starts) * m + 1)
+    v_arr = np.empty(len(starts) * m + 1)
+    z = v = 0.0
+    for start in starts:
+        q = cis(start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
+        block = slice(start, start + m + 1)
+        z_arr[block] = z + (et[0] * z + et[1] * v) + (q.real * r_im[0] + q.imag * r_re[0])
+        v_arr[block] = v + (et[2] * z + et[3] * v) + (q.real * r_im[1] + q.imag * r_re[1])
+        z, v = float(z_arr[start + m]), float(v_arr[start + m])
+    return z_arr[:n_samples], v_arr[:n_samples]
 
 
 def simulate(
@@ -296,8 +334,8 @@ def simulate(
     ringing response, so zeta_T >= 1 raises ValueError; evaluate_response
     (the CLI's model and sweep) covers zeta_T >= 1.
 
-    The drive is sampled per block of steps with np.sin (see _rk4); the
-    trace bits equal the per-step form with math.sin.
+    The RK4 run is evaluated in closed form, block by block (see _rk4); it
+    matches stepping RK4 one step at a time to rounding.
     """
     if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
         raise ValueError(

@@ -4,10 +4,12 @@ import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emharvest
 from emharvest import sim
@@ -273,7 +275,13 @@ class TestSimulate:
         s, trace = simulate(g, live_coil(r_load), e, cfg, return_trace=True)
         assert simulate(g, live_coil(r_load), e, cfg) == s
         i0 = int(cfg.settle_fraction * cfg.n_steps)
-        assert s.p_load_avg_w == float(np.mean(trace.p_load_w[i0:]))
+        v2 = trace.zdot_m_s * trace.zdot_m_s
+        c = live_coil(r_load)
+        phi, r_series = c.coupling_v_s_per_m, r_load + c.r_coil_ohm
+        share = 0.0 if r_load == math.inf else r_load / (r_series * r_series)
+        assert s.p_load_avg_w == phi * phi * share * float(np.mean(v2[i0:]))
+        # the per-sample column (phi z')^2 share rounds differently by an ulp or so
+        assert math.isclose(float(np.mean(trace.p_load_w[i0:])), s.p_load_avg_w, rel_tol=1e-14)
         if r_load == math.inf:
             assert not trace.p_load_w.any()
 
@@ -354,7 +362,8 @@ class TestSimulate:
 
 def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
     """The per-step form of sim._rk4: math.sin at every step, states kept in
-    whole-run lists.  The blocked loop must reproduce it bit for bit."""
+    whole-run lists.  The closed form must reproduce it within 1e-11 of
+    its largest value (RK4_REL)."""
     sin = math.sin
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -384,12 +393,18 @@ def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
     return np.asarray(zs), np.asarray(vs)
 
 
-class TestBlockedDrive:
-    MISMATCH = (
-        "blocked RK4 trace differs from the per-step math.sin form; "
-        "np.sin and math.sin do not give the same bits on this build"
-    )
+# how far the closed-form RK4 may sit from the per-step loop, relative to the
+# largest |z| or |z'| of the run: the two round differently, and the loop's
+# rounding grows with the step count
+RK4_REL = 1e-11
 
+
+def assert_near_per_step(zv, ref_zv):
+    for arr, ref in zip(zv, ref_zv):
+        assert np.max(np.abs(arr - ref)) <= RK4_REL * np.max(np.abs(ref))
+
+
+class TestBlockedDrive:
     @staticmethod
     def _run(monkeypatch, rk4, g, c, e, cfg):
         """simulate with rk4 as its integrator: the (z, z') it produced and
@@ -421,15 +436,59 @@ class TestBlockedDrive:
         e = Excitation(1e-6, w)
         ref_zv, ref = self._run(monkeypatch, per_step_rk4, g, c, e, cfg)
         new_zv, new = self._run(monkeypatch, _rk4, g, c, e, cfg)
-        for ref_arr, new_arr in zip(ref_zv, new_zv):
-            assert new_arr.tobytes() == ref_arr.tobytes(), self.MISMATCH
+        assert_near_per_step(new_zv, ref_zv)
         if n_steps < 64:  # under a drive period: no two peaks to settle on
             assert ref is None and new is None
             return
         (ref_s, ref_tr), (new_s, new_tr) = ref, new
-        assert new_tr.z_m.tobytes() == ref_tr.z_m.tobytes(), self.MISMATCH
-        assert new_tr.zdot_m_s.tobytes() == ref_tr.zdot_m_s.tobytes(), self.MISMATCH
-        assert new_s == ref_s, self.MISMATCH
+        assert_near_per_step((new_tr.z_m, new_tr.zdot_m_s), (ref_tr.z_m, ref_tr.zdot_m_s))
+        for f in fields(ref_s):
+            new_v, ref_v = getattr(new_s, f.name), getattr(ref_s, f.name)
+            if f.name == "energy_balance_residual":  # a small difference of large integrals
+                assert abs(new_v - ref_v) <= RK4_REL
+            else:
+                assert math.isclose(new_v, ref_v, rel_tol=RK4_REL), f.name
+
+    @pytest.mark.parametrize("n_steps", [11, 4095, 4096, 4097])
+    def test_run_is_the_start_of_a_longer_run(self, n_steps):
+        # each sample depends on its index alone, bit for bit, across blocks
+        g = make_gen()
+        wn = natural_frequency(g)
+        w = 1.1 * wn
+        dt = 2.0 * math.pi / w / 64.0
+        args = (dt, 1e-6 * w * w, w, 2.0 * 0.05 * wn, wn * wn)
+        z_long, v_long = _rk4(np.arange(8194) * dt, *args)
+        z, v = _rk4(np.arange(n_steps + 1) * dt, *args)
+        assert z.tobytes() == z_long[:n_steps + 1].tobytes()
+        assert v.tobytes() == v_long[:n_steps + 1].tobytes()
+        assert z[0] == v[0] == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    zeta=st.floats(1e-4, 1.0 - 1e-12),
+    ratio=st.floats(0.5, 2.0),
+    steps_per_period=st.floats(50.0, 200.0),
+    n_steps=st.integers(11, 10_000),
+    wn=st.floats(1.0, 1e5),
+)
+def test_closed_form_rk4_matches_per_step_loop(zeta, ratio, steps_per_period, n_steps, wn):
+    w = ratio * wn
+    dt = 2.0 * math.pi / max(w, wn) / steps_per_period
+    t = np.arange(n_steps + 1) * dt
+    args = (dt, 1e-6 * w * w, w, 2.0 * zeta * wn, wn * wn)
+    assert_near_per_step(_rk4(t, *args), per_step_rk4(t, *args))
+
+
+def test_long_run_keeps_the_drive_phase():
+    # 15,625 drive periods: a float phase w (s dt) at each block start is off
+    # by up to ~1e-16 w t = 1.1e-11 rad, which a block holds for 4096 steps
+    # (1.9e-11 of the peak); the per-step loop rounds each step's phase anew
+    wn = 2.0 * math.pi * 100.0
+    dt = 2.0 * math.pi / wn / 64.0
+    t = np.arange(1_000_001) * dt
+    args = (dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)
+    assert_near_per_step(_rk4(t, *args), per_step_rk4(t, *args))
 
 
 def exact_from_rest(t, forcing, w, zeta, wn):
