@@ -58,8 +58,8 @@ _PHASE_BOUND_RAD = 1e-3
 # the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
-# the most steps a run may take: simulate holds ~80 bytes per step, so ~1.6 GB;
-# 3.5x the 5.66M steps that SimConfig.suggest takes at Q_T = 1e4
+# the most steps a run may take: simulate holds ~41 bytes per step (~50 with a
+# trace), so ~0.8 GB (1 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
 
 
@@ -227,6 +227,16 @@ def _fit_phase(tw: np.ndarray, zw: np.ndarray, w: float) -> float:
     return min(max(phase, 0.0), math.pi)
 
 
+def _cis(num: int, den: int, steps: int, per: int = 1) -> complex:
+    """e^(i x) for the exact phase x = num steps / (den per), taken as hi + lo:
+    int / int is correctly rounded, so hi is x rounded and lo is x - hi rounded."""
+    n, d = num * steps, den * per
+    hi = n / d
+    hn, hd = hi.as_integer_ratio()
+    lo = (n * hd - hn * d) / (d * hd)
+    return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
+
+
 def _rk4(
     t: np.ndarray, dt: float, forcing: float, w: float, two_zw: float, wn2: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +258,13 @@ def _rk4(
     tests/test_sim.py holds it to the per-step loop within 1e-11 of the
     run's largest value.  Each sample depends on its index alone, so a run
     is the first samples of any longer run on the same grid.  The drive
-    phases are the exact w dt i, not the float w (i dt): a block holds its
-    first phase's rounding, ~1e-16 w t, for all its steps, which takes a
+    phases are the exact w dt i (_cis), not the float w (i dt): a block holds
+    its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
     1M-step run past that bound (test_long_run_keeps_the_drive_phase).
     """
-    from fractions import Fraction  # here, so that commands without a run do not import it
-
     n_samples = len(t)
+    (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
+    num, den = wp * dp, wq * dq  # w dt = num / den exactly
 
     def poly(coeffs, x, y):
         # sum of coeffs[k] M^k (x, y) by Horner, with M (x, y) = dt (y, -wn2 x - two_zw y)
@@ -263,54 +273,43 @@ def _rk4(
             rx, ry = dt * ry + c * x, -dt * (wn2 * rx + two_zw * ry) + c * y
         return rx, ry
 
-    w_dt = Fraction(w) * Fraction(dt)
-
-    def cis(steps):
-        # e^(i w dt steps) from the exact phase w dt steps, split as hi + lo
-        phase = w_dt * steps
-        hi = float(phase)
-        lo = float(phase - Fraction(hi))
-        return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
-
     e00, e10 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 1.0, 0.0)
     e01, e11 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 0.0, 1.0)
-    q_half = cis(Fraction(1, 2))
+    q_half = _cis(num, den, 1, 2)
     g0, gm = poly((1.0, 1.0, 0.5, 0.25), 0.0, 1.0), poly((4.0, 2.0, 0.5), 0.0, 1.0)
     scale = forcing * dt / 6.0
 
-    # E_j = P^j - I (rows e00, e01, e10, e11) and R_j for j <= m;
+    # E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]) for j <= m;
     # E_(m+j) = E_m + E_j + E_m E_j and R_(m+j) = R_m + E_j R_m + q^m R_j
-    # extend them to j <= 2m in one pass.  I is kept apart: rounding 1 + e
-    # moves P's eigenvalues by ~1e-16, which the resonant response
-    # amplifies by 1/(zeta w dt)
-    et = np.array([[0.0, e00], [0.0, e01], [0.0, e10], [0.0, e11]])
-    rt = np.array([[0.0, scale * (g0[0] + gm[0] * q_half)],
-                   [0.0, scale * (g0[1] + gm[1] * q_half + cis(1))]])
+    # extend them to j <= 2m in one pass, one array operation per term.  I is
+    # kept apart: rounding 1 + e moves P's eigenvalues by ~1e-16, which the
+    # resonant response amplifies by 1/(zeta w dt)
+    top = 1
+    while top < min(n_samples, _BLOCK_STEPS):
+        top *= 2
+    et = np.zeros((2, 2, top + 1))
+    et[:, :, 1] = ((e00, e01), (e10, e11))
+    rt = np.zeros((2, top + 1), complex)
+    rt[:, 1] = (scale * (g0[0] + gm[0] * q_half),
+                scale * (g0[1] + gm[1] * q_half + _cis(num, den, 1)))
     m = 1
-    while m < min(n_samples, _BLOCK_STEPS):
-        (a00, a01, a10, a11), (r0, r1), qm = et[:, m], rt[:, m], cis(m)
-        ej, rj = et[:, 1:], rt[:, 1:]
-        et = np.hstack((et, [a00 + ej[0] + (a00 * ej[0] + a01 * ej[2]),
-                             a01 + ej[1] + (a00 * ej[1] + a01 * ej[3]),
-                             a10 + ej[2] + (a10 * ej[0] + a11 * ej[2]),
-                             a11 + ej[3] + (a10 * ej[1] + a11 * ej[3])]))
-        rt = np.hstack((rt, [r0 + (ej[0] * r0 + ej[1] * r1) + qm * rj[0],
-                             r1 + (ej[2] * r0 + ej[3] * r1) + qm * rj[1]]))
+    while m < top:
+        a, r, new = et[:, :, m, None], rt[:, m, None], slice(m + 1, 2 * m + 1)
+        ej = et[:, :, 1:m + 1]
+        rt[:, new] = r + (ej[:, 0] * r[0] + ej[:, 1] * r[1]) + _cis(num, den, m) * rt[:, 1:m + 1]
+        et[:, :, new] = a + ej + (a[:, 0, None] * ej[0] + a[:, 1, None] * ej[1])
         m *= 2
     r_re, r_im = np.ascontiguousarray(rt.real), np.ascontiguousarray(rt.imag)
 
     # blocks of m steps share their end sample, which is the next block's start state
     starts = range(0, max(n_samples - 1, 1), m)
-    z_arr = np.empty(len(starts) * m + 1)
-    v_arr = np.empty(len(starts) * m + 1)
-    z = v = 0.0
+    zv = np.zeros((2, len(starts) * m + 1))  # from rest
     for start in starts:
-        q = cis(start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
-        block = slice(start, start + m + 1)
-        z_arr[block] = z + (et[0] * z + et[1] * v) + (q.real * r_im[0] + q.imag * r_re[0])
-        v_arr[block] = v + (et[2] * z + et[3] * v) + (q.real * r_im[1] + q.imag * r_re[1])
-        z, v = float(z_arr[start + m]), float(v_arr[start + m])
-    return z_arr[:n_samples], v_arr[:n_samples]
+        q = _cis(num, den, start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
+        x = zv[:, start, None]  # the state at the block's first sample, read before the write
+        zv[:, start:start + m + 1] = (x + (et[:, 0] * x[0] + et[:, 1] * x[1])
+                                      + (q.real * r_im + q.imag * r_re))
+    return zv[0, :n_samples], zv[1, :n_samples]
 
 
 def simulate(
@@ -396,7 +395,7 @@ def simulate(
     phase = _fit_phase(t[i0:], zw, w)
 
     # bookkeeping over the whole trace, including the transient
-    w_in = float(simpson(g.mass_kg * forcing * np.sin(w * t) * v_arr, x=t))
+    w_in = float(simpson(g.mass_kg * forcing * np.sin(w * t) * v_arr, dx=dt))
     # every loss is a damper on z', so each power is c * <z'^2> over the window
     v2 = v_arr * v_arr
     ms = float(np.mean(v2[i0:]))
@@ -405,7 +404,7 @@ def simulate(
     # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
     r_series = c.r_load_ohm + c.r_coil_ohm
     share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
-    w_diss = (c_p + c_e) * float(simpson(v2, x=t))
+    w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
     v_end, z_end = float(v_arr[-1]), float(z_arr[-1])
     e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
     scale = max(abs(w_in), w_diss + abs(e_mech))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import astuple, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -489,6 +490,35 @@ def test_long_run_keeps_the_drive_phase():
     t = np.arange(1_000_001) * dt
     args = (dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)
     assert_near_per_step(_rk4(t, *args), per_step_rk4(t, *args))
+
+
+def fraction_cis(w, dt, steps, per):
+    """e^(i w dt steps / per) split as hi + lo, with the phase as a Fraction."""
+    phase = Fraction(w) * Fraction(dt) * Fraction(steps, per)
+    hi = float(phase)
+    lo = float(phase - Fraction(hi))
+    return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    w=st.floats(allow_nan=False, allow_infinity=False),
+    dt=st.floats(allow_nan=False, allow_infinity=False),
+    steps=st.integers(0, 20_000_000),
+    half=st.booleans(),
+)
+def test_integer_phase_equals_fraction_phase(w, dt, steps, half):
+    # the half step is q^(1/2); every other call takes whole steps
+    steps, per = (1, 2) if half else (steps, 1)
+    (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
+    try:
+        ref = fraction_cis(w, dt, steps, per)
+    except OverflowError:  # a phase past the float range fails in both forms
+        with pytest.raises(OverflowError):
+            sim._cis(wp * dp, wq * dq, steps, per)
+        return
+    got = sim._cis(wp * dp, wq * dq, steps, per)
+    assert got.real == ref.real and got.imag == ref.imag
 
 
 def exact_from_rest(t, forcing, w, zeta, wn):
