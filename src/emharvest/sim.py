@@ -9,7 +9,9 @@ fourth-order Runge-Kutta scheme with a fixed step, started from rest, so
 traces are exactly reproducible.  The equation is linear, so one RK4 step is
 a fixed linear map and the whole run is evaluated from it in closed form
 rather than stepped.  Steady-state numbers are taken from the tail of the
-trace after the start-up transient has died away.
+trace after the start-up transient has died away, and an energy audit over
+the whole trace checks the run.  The drive sin(w t) is taken at the exact
+phases w dt i, by the integrator and by the phase fit and audit alike.
 
 Both routes take their damping from :func:`emharvest.model.total_damping`;
 only the response itself is computed independently, numerically, so the two
@@ -26,7 +28,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .analysis import _parabola_vertex
 from .model import (
     CoilCircuit,
     Excitation,
@@ -58,8 +59,8 @@ _PHASE_BOUND_RAD = 1e-3
 # the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
-# the most steps a run may take: simulate holds ~41 bytes per step (~50 with a
-# trace), so ~0.8 GB (1 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
+# the most steps a run may take: simulate holds ~37 bytes per step (~50 with a
+# trace), so ~0.75 GB (1 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
 
 
@@ -160,7 +161,10 @@ class TraceSummary:
 
     energy_balance_residual is the relative mismatch between the work done
     by the base and the sum of dissipated plus stored energy over the whole
-    trace; it is an integrator health check, not a physical output.
+    trace; it is an integrator health check, not a physical output.  It is
+    a small difference of integrals of size ~1, so its digits past about
+    the 6th are rounding noise: an equally valid rounding of the same RK4
+    trace moves them.
     """
 
     z_amp_m: float
@@ -191,28 +195,29 @@ class Trace:
     p_load_w: np.ndarray
 
 
-def _refined_peaks(zw: np.ndarray) -> list[float]:
-    """Positive-peak amplitudes with 3-point parabolic refinement."""
-    idx = (
-        np.flatnonzero(
-            (zw[1:-1] >= zw[:-2]) & (zw[1:-1] > zw[2:]) & (zw[1:-1] > 0.0)
-        )
-        + 1
-    )
-    return [
-        float(_parabola_vertex(-1.0, zw[i - 1], 0.0, zw[i], 1.0, zw[i + 1])[1]) for i in idx
-    ]
+def _refined_peaks(zw: np.ndarray) -> np.ndarray:
+    """Positive-peak amplitudes with 3-point parabolic refinement: the
+    formula of analysis._parabola_vertex at abscissae (-1, 0, 1), operand
+    for operand, applied to every peak at once."""
+    i = np.flatnonzero((zw[1:-1] >= zw[:-2]) & (zw[1:-1] > zw[2:]) & (zw[1:-1] > 0.0)) + 1
+    (x0, y0), (x1, y1), (x2, y2) = (-1.0, zw[i - 1]), (0.0, zw[i]), (1.0, zw[i + 1])
+    d1 = (y1 - y0) / (x1 - x0)
+    d2 = (y2 - y1) / (x2 - x1)
+    a2 = (d2 - d1) / (x2 - x0)
+    bent = a2 < 0.0  # else the middle point; a2 is 0 there only by underflow
+    a2 = np.where(bent, a2, -1.0)
+    xv = 0.5 * (x0 + x1) - d1 / (2.0 * a2)
+    return np.where(bent, y0 + d1 * (xv - x0) + a2 * (xv - x0) * (xv - x1), y1)
 
 
-def _fit_phase(tw: np.ndarray, zw: np.ndarray, w: float) -> float:
-    """Phase lag of zw behind sin(w t), from a least-squares sinusoid fit.
+def _fit_phase(zw: np.ndarray, sw: np.ndarray, cw: np.ndarray) -> float:
+    """Phase lag of zw behind the drive sin(w t), from a least-squares
+    sinusoid fit; sw and cw are sin(w t) and cos(w t) on zw's samples.
 
     The sums are numpy's own pairwise reductions, not np.dot: the bits of a
     BLAS dot product, and its cost on a window this long, depend on how
     many threads the BLAS runs.
     """
-    sw = np.sin(w * tw)
-    cw = np.cos(w * tw)
     sss = float(np.sum(sw * sw))
     scc = float(np.sum(cw * cw))
     ssc = float(np.sum(sw * cw))
@@ -235,6 +240,27 @@ def _cis(num: int, den: int, steps: int, per: int = 1) -> complex:
     hn, hd = hi.as_integer_ratio()
     lo = (n * hd - hn * d) / (d * hd)
     return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
+
+
+def _drive(n_samples: int, w: float, dt: float, i0: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(w dt i) at every sample i, and cos(w dt i) from sample i0 on, at
+    _rk4's exact drive phases: q^s (_cis) at each block's first sample s
+    times a table of q^j, j < m, built by doubling, so within ~3e-16 of the
+    exact phase (np.sin(w * (i dt)) carries the rounding of w (i dt) instead,
+    ~1e-16 w t: tests/test_sim.py::test_drive_keeps_the_exact_phase)."""
+    (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
+    num, den = wp * dp, wq * dq
+    qt = np.ones(1, complex)
+    while len(qt) < min(n_samples, _BLOCK_STEPS):
+        qt = np.concatenate((qt, _cis(num, den, len(qt)) * qt))
+    m = len(qt)
+    sin, cos = np.empty(n_samples), np.empty(n_samples - i0)
+    for start in range(0, n_samples, m):
+        block = _cis(num, den, start) * qt[:n_samples - start]
+        sin[start:start + m] = block.imag
+        if start + m > i0:
+            cos[max(start - i0, 0):start + m - i0] = block.real[max(i0 - start, 0):]
+    return sin, cos
 
 
 def _rk4(
@@ -334,7 +360,10 @@ def simulate(
     (the CLI's model and sweep) covers zeta_T >= 1.
 
     The RK4 run is evaluated in closed form, block by block (see _rk4); it
-    matches stepping RK4 one step at a time to rounding.
+    matches stepping RK4 one step at a time to rounding.  The phase fit and
+    the energy audit (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2,
+    Simpson's rule over the run; a residual >= 1e-3 raises ValueError) take
+    sin(w t) at the integrator's exact phases (_drive).
     """
     if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
         raise ValueError(
@@ -392,12 +421,17 @@ def simulate(
             f"increase duration_s"
         )
     z_amp = float(np.mean(peaks))
-    phase = _fit_phase(t[i0:], zw, w)
+    drive, cw = _drive(n_steps + 1, w, dt, i0)  # sin(w t) of the run, cos(w t) of the window
+    phase = _fit_phase(zw, drive[i0:], cw)
+    del cw  # a window-long array that a trace would otherwise keep alive
 
-    # bookkeeping over the whole trace, including the transient
-    w_in = float(simpson(g.mass_kg * forcing * np.sin(w * t) * v_arr, dx=dt))
+    # bookkeeping over the whole trace, including the transient; the work is
+    # integrated in the drive's buffer, which then takes z'^2
+    drive *= g.mass_kg * forcing
+    drive *= v_arr
+    w_in = float(simpson(drive, dx=dt))
     # every loss is a damper on z', so each power is c * <z'^2> over the window
-    v2 = v_arr * v_arr
+    v2 = np.multiply(v_arr, v_arr, out=drive)
     ms = float(np.mean(v2[i0:]))
     v_rms = math.sqrt(ms)
     coupling = c.coupling_v_s_per_m

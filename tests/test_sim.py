@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import emharvest
 from emharvest import sim
-from emharvest.analysis import SweepCurve, extract_q_half_power
+from emharvest.analysis import SweepCurve, _parabola_vertex, extract_q_half_power
 from emharvest.model import (
     CoilCircuit,
     Excitation,
@@ -358,7 +359,8 @@ class TestSimulate:
     def test_phase_fit_wrapped_just_past_pi_reads_pi(self):
         w = 2.0 * math.pi * 100.0
         t = np.arange(20_001) * 1e-5
-        assert sim._fit_phase(t, np.sin(w * t - (math.pi + 1e-9)), w) == math.pi
+        zw = np.sin(w * t - (math.pi + 1e-9))
+        assert sim._fit_phase(zw, np.sin(w * t), np.cos(w * t)) == math.pi
 
 
 def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
@@ -519,6 +521,71 @@ def test_integer_phase_equals_fraction_phase(w, dt, steps, half):
         return
     got = sim._cis(wp * dp, wq * dq, steps, per)
     assert got.real == ref.real and got.imag == ref.imag
+
+
+def test_drive_keeps_the_exact_phase():
+    # the 1M-sample grid of test_long_run_keeps_the_drive_phase: np.sin(w * t)
+    # is up to 1.6e-11 off the exact phase here (the rounding of w (i dt)),
+    # where the drive's block phase times its q^j table stays within 3.3e-16
+    wn = 2.0 * math.pi * 100.0
+    dt = 2.0 * math.pi / wn / 64.0
+    n, i0 = 1_000_001, 800_003
+    sin, cos = sim._drive(n, wn, dt, i0)
+    assert sin.shape == (n,) and cos.shape == (n - i0,)
+    (wp, wq), (dp, dq) = wn.as_integer_ratio(), dt.as_integer_ratio()
+
+    def exact(i):
+        return sim._cis(wp * dp, wq * dq, int(i))
+
+    rng = np.random.default_rng(7)
+    for i in np.concatenate((rng.integers(0, n, 2000), [n - 1, i0, i0 + 1])):
+        ref = exact(i)
+        assert abs(sin[i] - ref.imag) <= 4e-16
+        if i >= i0:
+            assert abs(cos[i - i0] - ref.real) <= 4e-16
+    for start in range(0, n, sim._BLOCK_STEPS):  # each block starts on _cis's own bits
+        ref = exact(start)
+        assert sin[start] == ref.imag
+        if start >= i0:
+            assert cos[start - i0] == ref.real
+
+
+@pytest.mark.parametrize("n, i0", [(1, 0), (11, 8), (4096, 4095), (4097, 0), (8193, 4097)])
+def test_drive_covers_every_sample_of_short_and_ragged_runs(n, i0):
+    w, dt = 2.0 * math.pi * 100.0, 1e-4
+    sin, cos = sim._drive(n, w, dt, i0)
+    (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
+    exact = np.array([sim._cis(wp * dp, wq * dq, i) for i in range(n)])
+    # a few roundings: q^j is a product of up to log2(m) table factors
+    assert np.max(np.abs(sin - exact.imag)) <= 1e-15
+    assert np.max(np.abs(cos - exact.real[i0:])) <= 1e-15
+
+
+# windows of z samples: small integers (plateaus and ties), any finite floats
+# below 1e300, and both scaled down to the subnormal range
+_window_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    values=st.lists(_window_values, min_size=3, max_size=60),
+    scale=st.sampled_from([1.0, 1e-3, 1e-300, 1e-310, 5e-324]),
+)
+def test_refined_peaks_equal_the_scalar_parabola_vertex(values, scale):
+    zw = np.array(values) * scale
+    want = [
+        _parabola_vertex(-1, zw[i - 1], 0, zw[i], 1, zw[i + 1])[1]
+        for i in range(1, len(zw) - 1)
+        if zw[i - 1] <= zw[i] > zw[i + 1] and zw[i] > 0.0
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sim._refined_peaks(zw)
+    assert len(got) == len(want)
+    assert all(a == b for a, b in zip(got, want))
 
 
 def exact_from_rest(t, forcing, w, zeta, wn):
