@@ -11,7 +11,7 @@ a fixed linear map and the whole run is evaluated from it in closed form
 rather than stepped.  Steady-state numbers are taken from the tail of the
 trace after the start-up transient has died away, and an energy audit over
 the whole trace checks the run.  The drive sin(w t) is taken at the exact
-phases w dt i, by the integrator and by the phase fit and audit alike.
+phases w dt i; the integrator returns it, and the phase fit and audit read it.
 
 Both routes take their damping from :func:`emharvest.model.total_damping`;
 only the response itself is computed independently, numerically, so the two
@@ -59,8 +59,8 @@ _PHASE_BOUND_RAD = 1e-3
 # the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
-# the most steps a run may take: simulate holds ~37 bytes per step (~50 with a
-# trace), so ~0.75 GB (1 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
+# the most steps a run may take: simulate holds ~31 bytes per step (~46 with a
+# trace), so ~0.62 GB (0.92 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
 
 
@@ -242,34 +242,14 @@ def _cis(num: int, den: int, steps: int, per: int = 1) -> complex:
     return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
 
 
-def _drive(n_samples: int, w: float, dt: float, i0: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin(w dt i) at every sample i, and cos(w dt i) from sample i0 on, at
-    _rk4's exact drive phases: q^s (_cis) at each block's first sample s
-    times a table of q^j, j < m, built by doubling, so within ~3e-16 of the
-    exact phase (np.sin(w * (i dt)) carries the rounding of w (i dt) instead,
-    ~1e-16 w t: tests/test_sim.py::test_drive_keeps_the_exact_phase)."""
-    (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
-    num, den = wp * dp, wq * dq
-    qt = np.ones(1, complex)
-    while len(qt) < min(n_samples, _BLOCK_STEPS):
-        qt = np.concatenate((qt, _cis(num, den, len(qt)) * qt))
-    m = len(qt)
-    sin, cos = np.empty(n_samples), np.empty(n_samples - i0)
-    for start in range(0, n_samples, m):
-        block = _cis(num, den, start) * qt[:n_samples - start]
-        sin[start:start + m] = block.imag
-        if start + m > i0:
-            cos[max(start - i0, 0):start + m - i0] = block.real[max(i0 - start, 0):]
-    return sin, cos
-
-
 def _rk4(
-    t: np.ndarray, dt: float, forcing: float, w: float, two_zw: float, wn2: float
-) -> tuple[np.ndarray, np.ndarray]:
+    n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float, i0: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
 
-    t is the sample grid i*dt, whose length sets the run; returns z and z' at
-    every sample.  The system is linear and time-invariant, so one RK4 step
+    Returns z and z' at the n_samples samples i dt, with the drive they were
+    integrated against: sin(w dt i) at every sample and cos(w dt i) from
+    sample i0 on.  The system is linear and time-invariant, so one RK4 step
     of the state x = (z, z') is the exact map x_(i+1) = P x_i + Im(g q^i),
     with A = [[0, 1], [-wn2, -two_zw]], M = dt A,
     P = I + M + M^2/2 + M^3/6 + M^4/24, q = e^(i w dt) and
@@ -277,8 +257,8 @@ def _rk4(
     (exact discretisation: Van Loan 1978, IEEE Trans. Autom. Control 23:395).
     From a block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where
     R_j = sum over k < j of P^(j-1-k) g q^k is the response j steps after
-    rest; P^j and R_j are tabulated once per run by doubling, and each block
-    is evaluated from them in closed form, with no step loop.
+    rest; P^j, R_j and q^j are tabulated once per run by doubling, and each
+    block is evaluated from them in closed form, with no step loop.
 
     This is the RK4 solution, phase error included, rounded differently:
     tests/test_sim.py holds it to the per-step loop within 1e-11 of the
@@ -286,9 +266,11 @@ def _rk4(
     is the first samples of any longer run on the same grid.  The drive
     phases are the exact w dt i (_cis), not the float w (i dt): a block holds
     its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
-    1M-step run past that bound (test_long_run_keeps_the_drive_phase).
+    1M-step run past that bound (test_long_run_keeps_the_drive_phase).  The
+    returned drive, q^s times the q^j table, is within ~3e-16 of the exact
+    phase (np.sin(w * (i dt)) is ~1e-16 w t off:
+    tests/test_sim.py::test_drive_keeps_the_exact_phase).
     """
-    n_samples = len(t)
     (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
     num, den = wp * dp, wq * dq  # w dt = num / den exactly
 
@@ -301,15 +283,15 @@ def _rk4(
 
     e00, e10 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 1.0, 0.0)
     e01, e11 = poly((0.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0), 0.0, 1.0)
-    q_half = _cis(num, den, 1, 2)
+    q_half, q_one = _cis(num, den, 1, 2), _cis(num, den, 1)
     g0, gm = poly((1.0, 1.0, 0.5, 0.25), 0.0, 1.0), poly((4.0, 2.0, 0.5), 0.0, 1.0)
     scale = forcing * dt / 6.0
 
-    # E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]) for j <= m;
-    # E_(m+j) = E_m + E_j + E_m E_j and R_(m+j) = R_m + E_j R_m + q^m R_j
-    # extend them to j <= 2m in one pass, one array operation per term.  I is
-    # kept apart: rounding 1 + e moves P's eigenvalues by ~1e-16, which the
-    # resonant response amplifies by 1/(zeta w dt)
+    # E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]) for j <= m, q^j (qt[j]) for
+    # j < m; E_(m+j) = E_m + E_j + E_m E_j, R_(m+j) = R_m + E_j R_m + q^m R_j
+    # and q^(m+j) = q^m q^j extend them to 2m in one pass, one array operation
+    # per term.  I is kept apart: rounding 1 + e moves P's eigenvalues by
+    # ~1e-16, which the resonant response amplifies by 1/(zeta w dt)
     top = 1
     while top < min(n_samples, _BLOCK_STEPS):
         top *= 2
@@ -317,25 +299,34 @@ def _rk4(
     et[:, :, 1] = ((e00, e01), (e10, e11))
     rt = np.zeros((2, top + 1), complex)
     rt[:, 1] = (scale * (g0[0] + gm[0] * q_half),
-                scale * (g0[1] + gm[1] * q_half + _cis(num, den, 1)))
+                scale * (g0[1] + gm[1] * q_half + q_one))
+    qt = np.ones(top, complex)
     m = 1
     while m < top:
+        qm = q_one if m == 1 else _cis(num, den, m)
         a, r, new = et[:, :, m, None], rt[:, m, None], slice(m + 1, 2 * m + 1)
         ej = et[:, :, 1:m + 1]
-        rt[:, new] = r + (ej[:, 0] * r[0] + ej[:, 1] * r[1]) + _cis(num, den, m) * rt[:, 1:m + 1]
+        rt[:, new] = r + (ej[:, 0] * r[0] + ej[:, 1] * r[1]) + qm * rt[:, 1:m + 1]
         et[:, :, new] = a + ej + (a[:, 0, None] * ej[0] + a[:, 1, None] * ej[1])
+        qt[m:2 * m] = qm * qt[:m]
         m *= 2
     r_re, r_im = np.ascontiguousarray(rt.real), np.ascontiguousarray(rt.imag)
 
-    # blocks of m steps share their end sample, which is the next block's start state
-    starts = range(0, max(n_samples - 1, 1), m)
-    zv = np.zeros((2, len(starts) * m + 1))  # from rest
-    for start in starts:
+    # blocks of m steps share their end sample, which is the next block's start
+    # state; a lone last sample takes its drive but no state block of its own
+    zv = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))  # from rest
+    sin, cos = np.empty(n_samples), np.empty(n_samples - i0)
+    for start in range(0, n_samples, m):
         q = _cis(num, den, start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
-        x = zv[:, start, None]  # the state at the block's first sample, read before the write
-        zv[:, start:start + m + 1] = (x + (et[:, 0] * x[0] + et[:, 1] * x[1])
-                                      + (q.real * r_im + q.imag * r_re))
-    return zv[0, :n_samples], zv[1, :n_samples]
+        block = q * qt[:n_samples - start]
+        sin[start:start + m] = block.imag
+        if start + m > i0:
+            cos[max(start - i0, 0):start + m - i0] = block.real[max(i0 - start, 0):]
+        if start < n_samples - 1:
+            x = zv[:, start, None]  # the state at the block's first sample, read before the write
+            zv[:, start:start + m + 1] = (x + (et[:, 0] * x[0] + et[:, 1] * x[1])
+                                          + (q.real * r_im + q.imag * r_re))
+    return zv[0, :n_samples], zv[1, :n_samples], sin, cos
 
 
 def simulate(
@@ -363,7 +354,7 @@ def simulate(
     matches stepping RK4 one step at a time to rounding.  The phase fit and
     the energy audit (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2,
     Simpson's rule over the run; a residual >= 1e-3 raises ValueError) take
-    sin(w t) at the integrator's exact phases (_drive).
+    the drive sin(w t) that _rk4 integrated against, at its exact phases.
     """
     if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
         raise ValueError(
@@ -393,19 +384,17 @@ def simulate(
 
     n_steps = cfg.n_steps
     dt = cfg.dt_s
-    t = np.arange(n_steps + 1) * dt
 
     if e.amplitude_m == 0.0:
-        zeros = np.zeros(n_steps + 1)
         summary = TraceSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         if return_trace:
-            return summary, Trace(t, zeros, np.zeros(n_steps + 1), np.zeros(n_steps + 1), np.zeros(n_steps + 1))
+            return summary, Trace(np.arange(n_steps + 1) * dt, *np.zeros((4, n_steps + 1)))
         return summary
 
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
-    z_arr, v_arr = _rk4(t, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn)
-
     i0 = int(cfg.settle_fraction * n_steps)
+    # sin(w t) of the run, cos(w t) of the window
+    z_arr, v_arr, drive, cw = _rk4(n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn, i0)
     zw = z_arr[i0:]
 
     peaks = _refined_peaks(zw)
@@ -421,7 +410,6 @@ def simulate(
             f"increase duration_s"
         )
     z_amp = float(np.mean(peaks))
-    drive, cw = _drive(n_steps + 1, w, dt, i0)  # sin(w t) of the run, cos(w t) of the window
     phase = _fit_phase(zw, drive[i0:], cw)
     del cw  # a window-long array that a trace would otherwise keep alive
 
@@ -439,6 +427,7 @@ def simulate(
     r_series = c.r_load_ohm + c.r_coil_ohm
     share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
     w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
+    del drive, v2  # the audit's buffer, freed before a trace's columns are built
     v_end, z_end = float(v_arr[-1]), float(z_arr[-1])
     e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
     scale = max(abs(w_in), w_diss + abs(e_mech))
@@ -459,6 +448,7 @@ def simulate(
         phase_rad=phase,
     )
     if return_trace:
+        t = np.arange(n_steps + 1) * dt
         emf_arr = coupling * v_arr
         return summary, Trace(t, z_arr, v_arr, emf_arr, emf_arr * emf_arr * share)
     return summary

@@ -339,8 +339,8 @@ class TestSimulate:
         e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
 
         def spoiled(*args):
-            z, v = _rk4(*args)
-            return z, v * 1.01
+            z, v, sin, cos = _rk4(*args)
+            return z, v * 1.01, sin, cos
 
         monkeypatch.setattr(sim, "_rk4", spoiled)
         with pytest.raises(ValueError,
@@ -363,10 +363,12 @@ class TestSimulate:
         assert sim._fit_phase(zw, np.sin(w * t), np.cos(w * t)) == math.pi
 
 
-def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
+def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2, i0=0):
     """The per-step form of sim._rk4: math.sin at every step, states kept in
-    whole-run lists.  The closed form must reproduce it within 1e-11 of
-    its largest value (RK4_REL)."""
+    whole-run lists, and its own drive np.sin(w t) and np.cos(w t[i0:]).  The
+    closed form must reproduce z and z' within 1e-11 of their largest value
+    (RK4_REL)."""
+    t = np.arange(n_samples) * dt
     sin = math.sin
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -393,7 +395,7 @@ def per_step_rk4(t, dt, forcing, w, two_zw, wn2):
         v += sixth * (a1 + 2.0 * (a2 + a3) + a4)
         zs.append(z)
         vs.append(v)
-    return np.asarray(zs), np.asarray(vs)
+    return np.asarray(zs), np.asarray(vs), np.sin(w * t), np.cos(w * t[i0:])
 
 
 # how far the closed-form RK4 may sit from the per-step loop, relative to the
@@ -410,8 +412,9 @@ def assert_near_per_step(zv, ref_zv):
 class TestBlockedDrive:
     @staticmethod
     def _run(monkeypatch, rk4, g, c, e, cfg):
-        """simulate with rk4 as its integrator: the (z, z') it produced and
-        simulate's (summary, trace), or None if the run cannot settle."""
+        """simulate with rk4 as its integrator and its drive: the (z, z') it
+        produced and simulate's (summary, trace), or None if the run cannot
+        settle."""
         seen = []
 
         def recording(*args):
@@ -424,7 +427,7 @@ class TestBlockedDrive:
         except SimulationNotSettled:
             result = None
         [zv] = seen
-        return zv, result
+        return zv[:2], result
 
     # one partial block, a block short, exact, one over, two blocks and a step
     @pytest.mark.parametrize("n_steps", [11, 4095, 4096, 4097, 8193])
@@ -460,8 +463,8 @@ class TestBlockedDrive:
         w = 1.1 * wn
         dt = 2.0 * math.pi / w / 64.0
         args = (dt, 1e-6 * w * w, w, 2.0 * 0.05 * wn, wn * wn)
-        z_long, v_long = _rk4(np.arange(8194) * dt, *args)
-        z, v = _rk4(np.arange(n_steps + 1) * dt, *args)
+        z_long, v_long = _rk4(8194, *args, 0)[:2]
+        z, v = _rk4(n_steps + 1, *args, 0)[:2]
         assert z.tobytes() == z_long[:n_steps + 1].tobytes()
         assert v.tobytes() == v_long[:n_steps + 1].tobytes()
         assert z[0] == v[0] == 0.0
@@ -478,9 +481,8 @@ class TestBlockedDrive:
 def test_closed_form_rk4_matches_per_step_loop(zeta, ratio, steps_per_period, n_steps, wn):
     w = ratio * wn
     dt = 2.0 * math.pi / max(w, wn) / steps_per_period
-    t = np.arange(n_steps + 1) * dt
-    args = (dt, 1e-6 * w * w, w, 2.0 * zeta * wn, wn * wn)
-    assert_near_per_step(_rk4(t, *args), per_step_rk4(t, *args))
+    args = (n_steps + 1, dt, 1e-6 * w * w, w, 2.0 * zeta * wn, wn * wn)
+    assert_near_per_step(_rk4(*args, 0)[:2], per_step_rk4(*args)[:2])
 
 
 def test_long_run_keeps_the_drive_phase():
@@ -489,9 +491,8 @@ def test_long_run_keeps_the_drive_phase():
     # (1.9e-11 of the peak); the per-step loop rounds each step's phase anew
     wn = 2.0 * math.pi * 100.0
     dt = 2.0 * math.pi / wn / 64.0
-    t = np.arange(1_000_001) * dt
-    args = (dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)
-    assert_near_per_step(_rk4(t, *args), per_step_rk4(t, *args))
+    args = (1_000_001, dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)
+    assert_near_per_step(_rk4(*args, 0)[:2], per_step_rk4(*args)[:2])
 
 
 def fraction_cis(w, dt, steps, per):
@@ -530,7 +531,7 @@ def test_drive_keeps_the_exact_phase():
     wn = 2.0 * math.pi * 100.0
     dt = 2.0 * math.pi / wn / 64.0
     n, i0 = 1_000_001, 800_003
-    sin, cos = sim._drive(n, wn, dt, i0)
+    sin, cos = sim._rk4(n, dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn, i0)[2:]
     assert sin.shape == (n,) and cos.shape == (n - i0,)
     (wp, wq), (dp, dq) = wn.as_integer_ratio(), dt.as_integer_ratio()
 
@@ -550,10 +551,30 @@ def test_drive_keeps_the_exact_phase():
             assert cos[start - i0] == ref.real
 
 
-@pytest.mark.parametrize("n, i0", [(1, 0), (11, 8), (4096, 4095), (4097, 0), (8193, 4097)])
+@pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name):
+    # the integrator, the phase fit and the audit share one set of phases
+    scn = emharvest.load_catalog().scenario(name)
+    g, c = scn.generator.params, scn.generator.circuit
+    e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+    cis, calls = sim._cis, []
+
+    def counting(num, den, steps, per=1):
+        calls.append((num, den, steps, per))
+        return cis(num, den, steps, per)
+
+    monkeypatch.setattr(sim, "_cis", counting)
+    simulate(g, c, e, scn.sim)
+    assert calls and len(set(calls)) == len(calls)
+
+
+# (4097, 4096) and (12289, 4096): the last sample starts a block of its own,
+# which has a drive but no state to write
+@pytest.mark.parametrize("n, i0", [(1, 0), (11, 8), (4096, 4095), (4097, 0), (8193, 4097),
+                                   (4097, 4096), (12289, 4096)])
 def test_drive_covers_every_sample_of_short_and_ragged_runs(n, i0):
     w, dt = 2.0 * math.pi * 100.0, 1e-4
-    sin, cos = sim._drive(n, w, dt, i0)
+    sin, cos = sim._rk4(n, dt, 1e-6 * w * w, w, 2.0 * 0.05 * w, w * w, i0)[2:]
     (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
     exact = np.array([sim._cis(wp * dp, wq * dq, i) for i in range(n)])
     # a few roundings: q^j is a product of up to log2(m) table factors
