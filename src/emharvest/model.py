@@ -440,11 +440,14 @@ def optimal_load(c: CoilCircuit, c_parasitic: float) -> float:
     """Load resistance maximizing delivered power, ohms.
 
     R_coil + (N l B)^2 / c_parasitic, where c_parasitic is the parasitic
-    viscous coefficient in N*s/m.
+    viscous coefficient in N*s/m.  A subnormal c_parasitic can take the
+    quotient past the float range, which raises ValueError.
     """
     _check_magnitudes((("c_parasitic", c_parasitic),))
     coupling = c.coupling_v_s_per_m
-    return c.r_coil_ohm + coupling * coupling / c_parasitic
+    r_opt = c.r_coil_ohm + coupling * coupling / c_parasitic
+    _check_magnitudes(nonnegative=(("optimal load resistance", r_opt),))
+    return r_opt
 
 
 def max_avg_load_power(

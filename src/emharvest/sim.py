@@ -7,11 +7,11 @@ The relative coordinate z (mass motion minus base motion) obeys
 for a base displacement Y sin(w t).  The integrator is the classical
 fourth-order Runge-Kutta scheme with a fixed step, started from rest, so
 traces are exactly reproducible.  The equation is linear, so one RK4 step is
-a fixed linear map and the whole run is evaluated from it in closed form
-rather than stepped.  Steady-state numbers are taken from the tail of the
-trace after the start-up transient has died away, and an energy audit over
-the whole trace checks the run.  The drive sin(w t) is taken at the exact
-phases w dt i; the integrator returns it, and the phase fit and audit read it.
+a fixed linear map, and the whole run is evaluated from it in closed form
+rather than stepped.  The steady-state numbers are that map's forced orbit,
+the integrator's exact steady state, once the run has shown that its
+start-up transient died away; an energy audit over the whole trace, against
+the drive sin(w t) at the integrator's exact phases w dt i, checks the run.
 
 Both routes take their damping from :func:`emharvest.model.total_damping`;
 only the response itself is computed independently, numerically, so the two
@@ -53,6 +53,10 @@ _MIN_STEPS_PER_PERIOD = 50
 
 _ENERGY_RESIDUAL_LIMIT = 1e-3
 
+# the start-up transient left at the measurement window's start, relative to
+# the steady amplitude, above which a run has not settled
+_SETTLE_LIMIT = 1e-2
+
 # RK4 phase error, 2 Q_T (w dt)^4 / 120, that SimConfig.suggest's step allows
 _PHASE_BOUND_RAD = 1e-3
 
@@ -65,7 +69,7 @@ _MAX_STEPS = 20_000_000
 
 
 class SimulationNotSettled(RuntimeError):
-    """Raised when a run ends before the response reaches steady state."""
+    """Raised when a run's start-up transient lasts into its measurement window."""
 
 
 class SweepPointError(RuntimeError):
@@ -81,8 +85,9 @@ class SweepPointError(RuntimeError):
 class SimConfig:
     """Fixed-step integrator settings.
 
-    settle_fraction is the leading fraction of the trace discarded before
-    steady-state statistics are taken; the rest is the measurement window.
+    settle_fraction is the leading fraction of the run allowed to settle: the
+    measurement window opens at sample int(settle_fraction * n_steps), where
+    simulate requires the start-up transient to be under 1% of the response.
     """
 
     dt_s: float
@@ -157,7 +162,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """Steady-state figures extracted from the tail of one run.
+    """Steady-state figures of one run, from the forced orbit X of its RK4 map:
+    z_amp_m = |X_z|, phase_rad = -arg X_z and v_rel_rms_m_per_s = |X_v| / sqrt(2).
 
     energy_balance_residual is the relative mismatch between the work done
     by the base and the sum of dissipated plus stored energy over the whole
@@ -195,43 +201,6 @@ class Trace:
     p_load_w: np.ndarray
 
 
-def _refined_peaks(zw: np.ndarray) -> np.ndarray:
-    """Positive-peak amplitudes with 3-point parabolic refinement: the
-    formula of analysis._parabola_vertex at abscissae (-1, 0, 1), operand
-    for operand, applied to every peak at once."""
-    i = np.flatnonzero((zw[1:-1] >= zw[:-2]) & (zw[1:-1] > zw[2:]) & (zw[1:-1] > 0.0)) + 1
-    (x0, y0), (x1, y1), (x2, y2) = (-1.0, zw[i - 1]), (0.0, zw[i]), (1.0, zw[i + 1])
-    d1 = (y1 - y0) / (x1 - x0)
-    d2 = (y2 - y1) / (x2 - x1)
-    a2 = (d2 - d1) / (x2 - x0)
-    bent = a2 < 0.0  # else the middle point; a2 is 0 there only by underflow
-    a2 = np.where(bent, a2, -1.0)
-    xv = 0.5 * (x0 + x1) - d1 / (2.0 * a2)
-    return np.where(bent, y0 + d1 * (xv - x0) + a2 * (xv - x0) * (xv - x1), y1)
-
-
-def _fit_phase(zw: np.ndarray, sw: np.ndarray, cw: np.ndarray) -> float:
-    """Phase lag of zw behind the drive sin(w t), from a least-squares
-    sinusoid fit; sw and cw are sin(w t) and cos(w t) on zw's samples.
-
-    The sums are numpy's own pairwise reductions, not np.dot: the bits of a
-    BLAS dot product, and its cost on a window this long, depend on how
-    many threads the BLAS runs.
-    """
-    sss = float(np.sum(sw * sw))
-    scc = float(np.sum(cw * cw))
-    ssc = float(np.sum(sw * cw))
-    bs = float(np.sum(zw * sw))
-    bc = float(np.sum(zw * cw))
-    det = sss * scc - ssc * ssc
-    a_fit = (bs * scc - bc * ssc) / det
-    b_fit = (bc * sss - bs * ssc) / det
-    phase = math.atan2(-b_fit, a_fit)
-    if phase < -0.5 * math.pi:  # wrapped just past pi
-        phase += 2.0 * math.pi
-    return min(max(phase, 0.0), math.pi)
-
-
 def _cis(num: int, den: int, steps: int, per: int = 1) -> complex:
     """e^(i x) for the exact phase x = num steps / (den per), taken as hi + lo:
     int / int is correctly rounded, so hi is x rounded and lo is x - hi rounded."""
@@ -242,37 +211,24 @@ def _cis(num: int, den: int, steps: int, per: int = 1) -> complex:
     return complex(math.cos(hi) - lo * math.sin(hi), math.sin(hi) + lo * math.cos(hi))
 
 
-def _rk4(
-    n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float, i0: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
+def _rk4_map(dt: float, forcing: float, w: float, two_zw: float, wn2: float) -> tuple:
+    """One RK4 step of z'' + two_zw z' + wn2 z = forcing sin(w t), and its steady state.
 
-    Returns z and z' at the n_samples samples i dt, with the drive they were
-    integrated against: sin(w dt i) at every sample and cos(w dt i) from
-    sample i0 on.  The system is linear and time-invariant, so one RK4 step
-    of the state x = (z, z') is the exact map x_(i+1) = P x_i + Im(g q^i),
-    with A = [[0, 1], [-wn2, -two_zw]], M = dt A,
-    P = I + M + M^2/2 + M^3/6 + M^4/24, q = e^(i w dt) and
+    The system is linear and time-invariant, so one step of the state
+    x = (z, z') is the exact map x_(i+1) = P x_i + Im(g q^i), with
+    A = [[0, 1], [-wn2, -two_zw]], M = dt A, P = I + M + M^2/2 + M^3/6 + M^4/24,
+    q = e^(i w dt) and
     g = forcing dt/6 ((I + M + M^2/2 + M^3/4) + (4I + 2M + M^2/2) q^(1/2) + q) (0, 1)
     (exact discretisation: Van Loan 1978, IEEE Trans. Autom. Control 23:395).
-    From a block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where
-    R_j = sum over k < j of P^(j-1-k) g q^k is the response j steps after
-    rest; P^j, R_j and q^j are tabulated once per run by doubling, and each
-    block is evaluated from them in closed form, with no step loop.
+    Its forced orbit x_i = Im(X q^i) solves ((q - 1)I - E) X = g, E = P - I,
+    with q - 1 = 2i sin(w dt/2) q^(1/2): neither P = I + E nor q - 1 is a
+    rounded sum, which would move P's eigenvalues or q - 1 by ~1e-16, an
+    error the resonant response amplifies by 1/(zeta w dt).
 
-    This is the RK4 solution, phase error included, rounded differently:
-    tests/test_sim.py holds it to the per-step loop within 1e-11 of the
-    run's largest value.  Each sample depends on its index alone, so a run
-    is the first samples of any longer run on the same grid.  The drive
-    phases are the exact w dt i (_cis), not the float w (i dt): a block holds
-    its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
-    1M-step run past that bound (test_long_run_keeps_the_drive_phase).  The
-    returned drive, q^s times the q^j table, is within ~3e-16 of the exact
-    phase (np.sin(w * (i dt)) is ~1e-16 w t off:
-    tests/test_sim.py::test_drive_keeps_the_exact_phase).
+    Returns (num, den, E, g, q, X): w dt = num / den exactly, E by rows.
     """
     (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
-    num, den = wp * dp, wq * dq  # w dt = num / den exactly
+    num, den = wp * dp, wq * dq
 
     def poly(coeffs, x, y):
         # sum of coeffs[k] M^k (x, y) by Horner, with M (x, y) = dt (y, -wn2 x - two_zw y)
@@ -286,20 +242,51 @@ def _rk4(
     q_half, q_one = _cis(num, den, 1, 2), _cis(num, den, 1)
     g0, gm = poly((1.0, 1.0, 0.5, 0.25), 0.0, 1.0), poly((4.0, 2.0, 0.5), 0.0, 1.0)
     scale = forcing * dt / 6.0
+    g_z = scale * (g0[0] + gm[0] * q_half)
+    g_v = scale * (g0[1] + gm[1] * q_half + q_one)
+    q_less_1 = 2j * q_half.imag * q_half
+    a00, a11 = q_less_1 - e00, q_less_1 - e11  # (q - 1)I - E, by Cramer's rule
+    det = a00 * a11 - e01 * e10
+    orbit = ((a11 * g_z + e01 * g_v) / det, (a00 * g_v + e10 * g_z) / det)
+    return num, den, ((e00, e01), (e10, e11)), (g_z, g_v), q_one, orbit
+
+
+def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float) -> tuple:
+    """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
+
+    Returns z and z' at the n_samples samples i dt, with the drive sin(w dt i)
+    they were integrated against and the step map x_(i+1) = P x_i + Im(g q^i)
+    they were evaluated from (_rk4_map's tuple).  From a block's first sample
+    s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum over k < j of
+    P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j and q^j are
+    tabulated once per run by doubling, and each block is evaluated from
+    them in closed form, with no step loop.
+
+    This is the RK4 solution, phase error included, rounded differently:
+    tests/test_sim.py holds it to the per-step loop within 1e-11 of the
+    run's largest value.  Each sample depends on its index alone, so a run
+    is the first samples of any longer run on the same grid.  The drive
+    phases are the exact w dt i (_cis), not the float w (i dt): a block holds
+    its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
+    1M-step run past that bound (test_long_run_keeps_the_drive_phase).  The
+    returned drive, q^s times the q^j table, is within ~3e-16 of the exact
+    phase (np.sin(w * (i dt)) is ~1e-16 w t off:
+    tests/test_sim.py::test_drive_keeps_the_exact_phase).
+    """
+    step = _rk4_map(dt, forcing, w, two_zw, wn2)
+    num, den, e1, g, q_one, _ = step
 
     # E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]) for j <= m, q^j (qt[j]) for
     # j < m; E_(m+j) = E_m + E_j + E_m E_j, R_(m+j) = R_m + E_j R_m + q^m R_j
     # and q^(m+j) = q^m q^j extend them to 2m in one pass, one array operation
-    # per term.  I is kept apart: rounding 1 + e moves P's eigenvalues by
-    # ~1e-16, which the resonant response amplifies by 1/(zeta w dt)
+    # per term.  I is kept apart, as in _rk4_map.
     top = 1
     while top < min(n_samples, _BLOCK_STEPS):
         top *= 2
     et = np.zeros((2, 2, top + 1))
-    et[:, :, 1] = ((e00, e01), (e10, e11))
+    et[:, :, 1] = e1
     rt = np.zeros((2, top + 1), complex)
-    rt[:, 1] = (scale * (g0[0] + gm[0] * q_half),
-                scale * (g0[1] + gm[1] * q_half + q_one))
+    rt[:, 1] = g
     qt = np.ones(top, complex)
     m = 1
     while m < top:
@@ -315,18 +302,15 @@ def _rk4(
     # blocks of m steps share their end sample, which is the next block's start
     # state; a lone last sample takes its drive but no state block of its own
     zv = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))  # from rest
-    sin, cos = np.empty(n_samples), np.empty(n_samples - i0)
+    sin = np.empty(n_samples)
     for start in range(0, n_samples, m):
         q = _cis(num, den, start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
-        block = q * qt[:n_samples - start]
-        sin[start:start + m] = block.imag
-        if start + m > i0:
-            cos[max(start - i0, 0):start + m - i0] = block.real[max(i0 - start, 0):]
+        sin[start:start + m] = (q * qt[:n_samples - start]).imag
         if start < n_samples - 1:
             x = zv[:, start, None]  # the state at the block's first sample, read before the write
             zv[:, start:start + m + 1] = (x + (et[:, 0] * x[0] + et[:, 1] * x[1])
                                           + (q.real * r_im + q.imag * r_re))
-    return zv[0, :n_samples], zv[1, :n_samples], sin, cos
+    return zv[0, :n_samples], zv[1, :n_samples], sin, step
 
 
 def simulate(
@@ -339,22 +323,24 @@ def simulate(
     """Integrate one run and summarize its steady state.
 
     The electrical damping coefficient is held constant over the run (a
-    linear circuit model); load power is the averaged instantaneous
-    emf^2 * R_load / (R_load + R_coil)^2.  That split has no coil current
-    state, so a closed circuit with inductance (l_coil_h > 0) raises
-    ValueError.  Runs whose displacement peaks still drift by more than 1%
-    per period at the end raise SimulationNotSettled instead of returning a
-    misleading summary.
+    linear circuit model); load power is emf^2 * R_load / (R_load + R_coil)^2.
+    That split has no coil current state, so a closed circuit with
+    inductance (l_coil_h > 0) raises ValueError.
 
-    Only underdamped designs run: the settling and drift checks assume a
-    ringing response, so zeta_T >= 1 raises ValueError; evaluate_response
-    (the CLI's model and sweep) covers zeta_T >= 1.
+    The run is evaluated in closed form (_rk4), and the summary is the forced
+    orbit X of its RK4 step map (_rk4_map), the integrator's exact steady
+    state: z_amp = |X_z|, phase = -arg X_z, and each power is its damper c
+    times <z'^2> = |X_v|^2 / 2.  If the start-up transient at the window
+    start i0 = int(settle_fraction * n_steps),
+    hypot(z - Im(X_z q^i0), (z' - Im(X_v q^i0)) / w_n), is _SETTLE_LIMIT * |X_z|
+    or more, SimulationNotSettled is raised.  The energy audit (work
+    m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule over the
+    run, with the drive _rk4 integrated against; a residual >= 1e-3 raises
+    ValueError) checks the run.
 
-    The RK4 run is evaluated in closed form, block by block (see _rk4); it
-    matches stepping RK4 one step at a time to rounding.  The phase fit and
-    the energy audit (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2,
-    Simpson's rule over the run; a residual >= 1e-3 raises ValueError) take
-    the drive sin(w t) that _rk4 integrated against, at its exact phases.
+    Only underdamped designs run (zeta_T < 1, else ValueError): the settle
+    test measures a ringing transient, and suggest's run assumes one;
+    evaluate_response (the CLI's model and sweep) covers zeta_T >= 1.
     """
     if c.l_coil_h > 0.0 and c.r_load_ohm < math.inf:
         raise ValueError(
@@ -393,39 +379,32 @@ def simulate(
 
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
     i0 = int(cfg.settle_fraction * n_steps)
-    # sin(w t) of the run, cos(w t) of the window
-    z_arr, v_arr, drive, cw = _rk4(n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn, i0)
-    zw = z_arr[i0:]
-
-    peaks = _refined_peaks(zw)
-    if len(peaks) < 2:
+    z_arr, v_arr, drive, step = _rk4(n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn)
+    num, den, _, _, _, (x_z, x_v) = step
+    z_amp = abs(x_z)
+    q0 = _cis(num, den, i0)
+    transient = math.hypot(float(z_arr[i0]) - (x_z * q0).imag,
+                           (float(v_arr[i0]) - (x_v * q0).imag) / wn)
+    if not transient < _SETTLE_LIMIT * z_amp:
         raise SimulationNotSettled(
-            "measurement window holds fewer than two displacement peaks; "
-            "increase duration_s or lower settle_fraction"
+            f"start-up transient is {transient / z_amp if z_amp else math.inf:.3g} of the "
+            f"amplitude when the measurement window opens, over the {_SETTLE_LIMIT} settle "
+            f"limit; increase duration_s or settle_fraction"
         )
-    drift = abs(peaks[-1] - peaks[-2]) / abs(peaks[-1])
-    if not drift <= 0.01:
-        raise SimulationNotSettled(
-            f"amplitude still drifting {drift:.2%} per period at end of run; "
-            f"increase duration_s"
-        )
-    z_amp = float(np.mean(peaks))
-    phase = _fit_phase(zw, drive[i0:], cw)
-    del cw  # a window-long array that a trace would otherwise keep alive
+    # every loss is a damper on z', so each power is c * <z'^2> = c |X_v|^2 / 2
+    ms = 0.5 * abs(x_v) ** 2
+    v_rms = math.sqrt(ms)
+    coupling = c.coupling_v_s_per_m
+    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
+    r_series = c.r_load_ohm + c.r_coil_ohm
+    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
 
     # bookkeeping over the whole trace, including the transient; the work is
     # integrated in the drive's buffer, which then takes z'^2
     drive *= g.mass_kg * forcing
     drive *= v_arr
     w_in = float(simpson(drive, dx=dt))
-    # every loss is a damper on z', so each power is c * <z'^2> over the window
     v2 = np.multiply(v_arr, v_arr, out=drive)
-    ms = float(np.mean(v2[i0:]))
-    v_rms = math.sqrt(ms)
-    coupling = c.coupling_v_s_per_m
-    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
-    r_series = c.r_load_ohm + c.r_coil_ohm
-    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
     w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
     del drive, v2  # the audit's buffer, freed before a trace's columns are built
     v_end, z_end = float(v_arr[-1]), float(z_arr[-1])
@@ -445,7 +424,7 @@ def simulate(
         p_load_avg_w=coupling * coupling * share * ms,
         p_parasitic_avg_w=c_p * ms,
         energy_balance_residual=residual,
-        phase_rad=phase,
+        phase_rad=math.atan2(-x_z.imag, x_z.real),
     )
     if return_trace:
         t = np.arange(n_steps + 1) * dt

@@ -162,6 +162,15 @@ class TestModelCommand:
         assert captured.out == ""
         assert key in captured.err
 
+    def test_optimal_load_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # c_p = 2 m w_n zeta_p is subnormal, so Phi^2 / c_p overflows
+        cfg = bench_config(tmp_path, BENCH.replace("zeta_parasitic = 0.05",
+                                                   "zeta_parasitic = 5e-324"))
+        assert main(["model", "--config", cfg, "--scenario", "bench_run"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "optimal load resistance must be >= 0 and finite, got inf" in captured.err
+
     def test_readme_catalog_example_runs(self, tmp_path, capsys):
         readme = pathlib.Path(__file__).parents[1] / "README.md"
         block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
@@ -693,12 +702,12 @@ PINNED_ARTEFACTS = [
     ),
     pytest.param(
         ["simulate", "--scenario", "cantilever_nominal"],
-        "b5658fdcffd4ecb2b4b8ae1aff3dd94025f7057aefe9dbc588af2a2476c57d63",
+        "3c0a1a3e5ce6a1739c7b9513f8ffcabef3b26868dd8a66bc25f70f83882a08c5",
         id="simulate-cantilever",
     ),
     pytest.param(
         ["simulate", "--scenario", "cantilever_nominal", "--out"],
-        "7f32e75532c53d4e5caa88c7332e9875ebfca6ac095f0273b2884cb5699bd0d5",
+        "25f8519fec951e7cc7767750ffbc12d4b25cdca8270875346f45f9b8d7d814d6",
         id="simulate-out-cantilever",
     ),
     pytest.param(
@@ -723,12 +732,12 @@ PINNED_ARTEFACTS = [
     ),
     pytest.param(
         ["simulate", "--scenario", "lateral_nominal"],
-        "5a05b0f78f5069109e2d36f16b2df2564b5c0818415870b1d9dd6e1b3b7fdc02",
+        "69c77af4e38c66f8b9d71846f527e016c762af794fd677d01466d81829e97301",
         id="simulate-lateral",
     ),
     pytest.param(
         ["simulate", "--scenario", "lateral_nominal", "--out"],
-        "3f9f2661c179b632cbc25eb5d2f7198a16eee6bdb50f4f2b68f947846be816e8",
+        "71ba15ff9275ce6d7a8a430443d7463e0c329497aaba43287d320b93dc1570c5",
         id="simulate-out-lateral",
     ),
     pytest.param(
