@@ -63,8 +63,8 @@ _PHASE_BOUND_RAD = 1e-3
 # the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
-# the most steps a run may take: simulate holds ~31 bytes per step (~46 with a
-# trace), so ~0.62 GB (0.92 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
+# the most steps a run may take: simulate holds ~21 bytes per step (~41 with a
+# trace), so ~0.42 GB (0.82 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
 
 
@@ -251,7 +251,8 @@ def _rk4_map(dt: float, forcing: float, w: float, two_zw: float, wn2: float) -> 
     return num, den, ((e00, e01), (e10, e11)), (g_z, g_v), q_one, orbit
 
 
-def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float) -> tuple:
+def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float,
+         at: Sequence[int] | None = None) -> tuple:
     """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
 
     Returns z and z' at the n_samples samples i dt, with the drive sin(w dt i)
@@ -260,7 +261,8 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
     s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum over k < j of
     P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j and q^j are
     tabulated once per run by doubling, and each block is evaluated from
-    them in closed form, with no step loop.
+    them in closed form, with no step loop.  Given increasing samples `at`, z is
+    evaluated only there and at block ends: a pair (z, its drive's q^s q^j) each.
 
     This is the RK4 solution, phase error included, rounded differently:
     tests/test_sim.py holds it to the per-step loop within 1e-11 of the
@@ -299,18 +301,27 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
         m *= 2
     r_re, r_im = np.ascontiguousarray(rt.real), np.ascontiguousarray(rt.imag)
 
+    def state(r, j):  # row r of the block's states at its columns j, from its first state x
+        return ((x[r] + (et[r, 0, j] * x[0] + et[r, 1, j] * x[1]))
+                + (q.real * r_im[r, j] + q.imag * r_re[r, j]))  # Im(q R) = Re q Im R + Im q Re R
+
     # blocks of m steps share their end sample, which is the next block's start
-    # state; a lone last sample takes its drive but no state block of its own
+    # state; a lone last sample takes its drive but no state block of its own.
+    # Given `at`, the drive takes z's row: two half-size buffers are trimmed and refaulted each run
     zv = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))  # from rest
-    sin = np.empty(n_samples)
+    sin = np.empty(n_samples) if at is None else zv[0, :n_samples]
+    z0, named, phases = 0.0, [], np.empty(m, complex)  # phases: one block's q^s q^j
     for start in range(0, n_samples, m):
-        q = _cis(num, den, start)  # q^s: Im(q R) = Re(q) Im R + Im(q) Re R
-        sin[start:start + m] = (q * qt[:n_samples - start]).imag
+        q = _cis(num, den, start)  # q^s
+        qs = np.multiply(q, qt[:n_samples - start], out=phases[:n_samples - start])
+        sin[start:start + m] = qs.imag
+        x = (z0, zv[1, start])  # read before the write
+        named += [(state(0, s - start), qs[s - start]) for s in at or () if start <= s < start + m]
         if start < n_samples - 1:
-            x = zv[:, start, None]  # the state at the block's first sample, read before the write
-            zv[:, start:start + m + 1] = (x + (et[:, 0] * x[0] + et[:, 1] * x[1])
-                                          + (q.real * r_im + q.imag * r_re))
-    return zv[0, :n_samples], zv[1, :n_samples], sin, step
+            for r in (0, 1) if at is None else (1,):
+                zv[r, start:start + m + 1] = state(r, slice(None))
+            z0 = state(0, m)
+    return zv[0, :n_samples] if at is None else named, zv[1, :n_samples], sin, step
 
 
 def simulate(
@@ -379,11 +390,15 @@ def simulate(
 
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
     i0 = int(cfg.settle_fraction * n_steps)
-    z_arr, v_arr, drive, step = _rk4(n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn)
-    num, den, _, _, _, (x_z, x_v) = step
+    args = (n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn)
+    if return_trace:  # both rows over the whole run
+        z_arr, v_arr, drive, step = _rk4(*args)
+        z_i0, z_end, q0 = z_arr[i0], z_arr[-1], _cis(step[0], step[1], i0)
+    else:  # z only at i0 and the end, with q^i0 from the drive's own product
+        ((z_i0, q0), (z_end, _)), v_arr, drive, step = _rk4(*args, (i0, n_steps))
+    x_z, x_v = step[5]
     z_amp = abs(x_z)
-    q0 = _cis(num, den, i0)
-    transient = math.hypot(float(z_arr[i0]) - (x_z * q0).imag,
+    transient = math.hypot(float(z_i0) - (x_z * q0).imag,
                            (float(v_arr[i0]) - (x_v * q0).imag) / wn)
     if not transient < _SETTLE_LIMIT * z_amp:
         raise SimulationNotSettled(
@@ -407,7 +422,7 @@ def simulate(
     v2 = np.multiply(v_arr, v_arr, out=drive)
     w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
     del drive, v2  # the audit's buffer, freed before a trace's columns are built
-    v_end, z_end = float(v_arr[-1]), float(z_arr[-1])
+    v_end, z_end = float(v_arr[-1]), float(z_end)
     e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
     scale = max(abs(w_in), w_diss + abs(e_mech))
     residual = abs(w_in - w_diss - e_mech) / scale if scale > 0.0 else 0.0

@@ -118,7 +118,7 @@ class TestSimConfig:
                                              r"set dt_s and duration_s in the catalog$"):
             SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 2.8e4), None, wn)
 
-    # constructed only: a run this long would hold ~80 bytes per step
+    # constructed only: a run this long would hold ~21 bytes per step (~41 with a trace)
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
     def test_rejects_steps_above_ceiling(self, dt):
         with pytest.raises(ValueError, match=r"duration_s / dt_s .*duration_s=2\.5 with dt_s="):
@@ -643,12 +643,22 @@ def test_drive_keeps_the_exact_phase():
         assert sin[start] == exact(start).imag
 
 
-@pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
-def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name):
+# the bundled window starts (100000 and 42666), then a window at rest
+# (settle_fraction = 0), at a block start (24 x 4096) and at a doubling level
+@pytest.mark.parametrize("name, i0", [("cantilever_nominal", None), ("lateral_nominal", None),
+                                      ("cantilever_nominal", 0), ("cantilever_nominal", 98304),
+                                      ("cantilever_nominal", 2048)],
+                         ids=["cantilever_nominal", "lateral_nominal", "cantilever_nominal-i0=0",
+                              "cantilever_nominal-i0=98304", "cantilever_nominal-i0=2048"])
+def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name, i0):
     # the integrator, the settle test and the audit share one set of phases
     scn = emharvest.load_catalog().scenario(name)
     g, c = scn.generator.params, scn.generator.circuit
     e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+    cfg = scn.sim
+    if i0 is not None:
+        cfg = replace(cfg, settle_fraction=i0 and (i0 + 0.5) / cfg.n_steps)
+        assert int(cfg.settle_fraction * cfg.n_steps) == i0
     cis, calls = sim._cis, []
 
     def counting(num, den, steps, per=1):
@@ -656,8 +666,94 @@ def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name):
         return cis(num, den, steps, per)
 
     monkeypatch.setattr(sim, "_cis", counting)
-    simulate(g, c, e, scn.sim)
+    try:
+        simulate(g, c, e, cfg)
+    except SimulationNotSettled:  # an early window: the phases are counted all the same
+        assert i0 is not None and i0 < 98304
     assert calls and len(set(calls)) == len(calls)
+
+
+def random_run(rng, n):
+    """_rk4's arguments for a random underdamped run of n samples."""
+    wn = 10.0 ** rng.uniform(0.0, 5.0)
+    w = rng.uniform(0.5, 2.0) * wn
+    dt = 2.0 * math.pi / max(w, wn) / rng.uniform(50.0, 200.0)
+    return n, dt, 1e-6 * w * w, w, 2.0 * rng.uniform(1e-4, 0.99) * wn, wn * wn
+
+
+def named_samples(rng, n):
+    """Samples to name in a run of n: the first and last, block starts and
+    ends, and a few anywhere, in increasing order."""
+    m = sim._BLOCK_STEPS
+    edges = [s for k in range(1, n // m + 1) for s in (k * m - 1, k * m, k * m + 1)]
+    picks = [0, n - 1, *rng.integers(0, n, 2)]
+    if edges:
+        picks += list(rng.choice(edges, min(len(edges), 3), replace=False))
+    return tuple(sorted(int(s) for s in picks if s < n))
+
+
+# a sample, two, a block short, exact, one over, two blocks and a step, three
+# blocks and a step; then random lengths
+@pytest.mark.parametrize("n", [2, 3, 4095, 4096, 4097, 8193, 12289, None])
+def test_trace_free_run_is_the_two_row_run(n):
+    # z' and the drive bit for bit, and z at each named sample as in the z row,
+    # with the drive's own phase there: 8 x 19 runs
+    rng = np.random.default_rng(n or 0)
+    for _ in range(19):
+        args = random_run(rng, n or int(rng.integers(2, 13000)))
+        at = named_samples(rng, args[0])
+        z, v, sin, step = _rk4(*args)
+        named, v_at, sin_at, step_at = _rk4(*args, at)
+        assert v_at.tobytes() == v.tobytes() and sin_at.tobytes() == sin.tobytes()
+        assert step_at == step and len(named) == len(at)
+        num, den = step[:2]
+        for s, (z_s, q_s) in zip(at, named):
+            assert np.float64(z_s).tobytes() == z[s].tobytes()
+            assert q_s.imag == sin[s]
+            assert abs(q_s - sim._cis(num, den, s)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4097, 12289])
+def test_trace_free_run_evaluates_z_only_at_block_ends_and_named_samples(monkeypatch, n):
+    # each state the evaluator forms reads its row and columns of the R_j
+    # table once: z' over whole blocks, z at single columns only; the one
+    # whole-run buffer holds z' and the drive
+    m = min(sim._BLOCK_STEPS, 1 << (n - 1).bit_length())
+    at = (0, m, n - 1) if n > m else (0, n - 1)
+    reads, sizes = [], []
+    contiguous, zeros = np.ascontiguousarray, np.zeros
+
+    class Table(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return self.view(np.ndarray)[key]
+
+    def recording_zeros(shape, *args, **kwargs):
+        sizes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    args = random_run(np.random.default_rng(n), n)
+    monkeypatch.setattr(np, "ascontiguousarray", lambda a: contiguous(a).view(Table))
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    _, v, sin, _ = _rk4(*args, at)
+    expected = []
+    for start in range(0, n, m):
+        expected += [(0, s - start) for s in at if start <= s < start + m]
+        if start < n - 1:
+            expected += [(1, slice(None)), (0, m)]
+    assert reads == [key for key in expected for _ in ("Im R", "Re R")]
+    # the P^j and R_j tables, then the buffer of z' and the drive
+    assert sizes == [(2, 2, m + 1), (2, m + 1), (2, -(-(n - 1) // m) * m + 1)]
+    assert v.base is sin.base is not None
+
+
+@pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+def test_trace_free_summary_is_the_traced_summary(name):
+    scn = emharvest.load_catalog().scenario(name)
+    g, c = scn.generator.params, scn.generator.circuit
+    e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+    plain, (traced, _) = simulate(g, c, e, scn.sim), simulate(g, c, e, scn.sim, return_trace=True)
+    assert [v.hex() for v in astuple(plain)] == [v.hex() for v in astuple(traced)]
 
 
 # (4097, 4096) and (12289, 4096): the last sample starts a block of its own,
