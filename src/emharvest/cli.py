@@ -18,7 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .analysis import compare_catalog
 from .beam import BeamSpec, frequency_table
@@ -34,7 +34,7 @@ from .model import (
     natural_frequency,
     optimal_load,
 )
-from .sim import SimConfig, SimulationNotSettled, simulate
+from .sim import SimConfig, SimulationNotSettled, Trace, simulate
 
 __all__ = ["main"]
 
@@ -77,11 +77,12 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _emit_csv(names: Sequence[str], columns: Sequence[Sequence[float]], out: str | None) -> None:
-    """Write the columns as a CSV (see _csvrows.write_csv) to --out or stdout."""
+def _emit_csv(names: Sequence[str], chunks: Iterable[Sequence[Sequence[float]]],
+              out: str | None) -> None:
+    """Write the chunks of columns as one CSV (see _csvrows.write_csv) to --out or stdout."""
     from ._csvrows import write_csv  # numpy formatting, loaded only by commands that write a CSV
     with _output(out) as fh:
-        write_csv(fh, names, columns)
+        write_csv(fh, names, chunks)
 
 
 def _drive(scn: Scenario, f_hz: float) -> Excitation:
@@ -152,18 +153,18 @@ def _cmd_sweep(args: argparse.Namespace, catalog: Catalog) -> int:
                                   c.l_coil_h, r_load)
             rp = evaluate_response(g, circuit, e)
             rows.append((r_load, rp.p_load_w, rp.p_total_electrical_w))
-    _emit_csv(names, list(zip(*rows)), args.out)
+    _emit_csv(names, [list(zip(*rows))], args.out)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
     scn, g, c, e = _scenario(args, catalog)
     cfg = scn.sim if scn.sim is not None else SimConfig.suggest(g, c, e.omega_rad_per_s)
-    run = simulate(g, c, e, cfg, return_trace=args.out is not None)
-    summary, trace = run if args.out is not None else (run, None)
-    if trace is not None:  # first, so that an --out the open refuses leaves stdout empty
-        names = [f.name for f in fields(trace)]
-        _emit_csv(names, [getattr(trace, name) for name in names], args.out)
+    if args.out is None:
+        summary = simulate(g, c, e, cfg)
+    else:  # the trace first, so that an --out the open refuses leaves stdout empty
+        summary, blocks = simulate(g, c, e, cfg, return_trace="blocks")
+        _emit_csv([f.name for f in fields(Trace)], blocks, args.out)
     lines = [
         f"scenario                : {scn.name}",
         f"steps                   : {cfg.n_steps}",
@@ -206,7 +207,7 @@ def _cmd_beam(args: argparse.Namespace, catalog: Catalog) -> int:
     )
     grid = frequency_table(base, thicknesses, mats)
     names = ["thickness_m", *(f"{m.name}_hz" for m in mats)]
-    _emit_csv(names, [thicknesses, *zip(*grid)], args.out)
+    _emit_csv(names, [[thicknesses, *zip(*grid)]], args.out)
     return 0
 
 

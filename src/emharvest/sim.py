@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
@@ -63,8 +63,9 @@ _PHASE_BOUND_RAD = 1e-3
 # the steps in one of _rk4's blocks, the length of its P^j and R_j tables (a power of 2)
 _BLOCK_STEPS = 4096
 
-# the most steps a run may take: simulate holds ~21 bytes per step (~41 with a
-# trace), so ~0.42 GB (0.82 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
+# the most steps a run may take: simulate holds ~21 bytes per step, also when it
+# streams its trace (simulate --out), and ~41 when it returns a Trace, so ~0.42 GB
+# (0.82 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
 
 
@@ -192,7 +193,11 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class Trace:
-    """Full sampled time histories; all arrays share the t_s time base."""
+    """Full sampled time histories; all arrays share the t_s time base.
+
+    simulate(..., return_trace=True) fills it from the blocks that
+    return_trace="blocks" streams: 40 bytes per sample, where a stream
+    holds one block of at most 4096 samples at a time."""
 
     t_s: np.ndarray
     z_m: np.ndarray
@@ -251,40 +256,24 @@ def _rk4_map(dt: float, forcing: float, w: float, two_zw: float, wn2: float) -> 
     return num, den, ((e00, e01), (e10, e11)), (g_z, g_v), q_one, orbit
 
 
-def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float,
-         at: Sequence[int] | None = None) -> tuple:
-    """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
+def _state(row: tuple, r: int, x: tuple, q: complex, j) -> np.ndarray:
+    """Row r of a block's states at its columns j, from the block's first state x
+    and phase q = q^s: x_r + (E_j x)_r + Im(q R_j)_r, from row r's tables
+    row = (E_j[r, 0], E_j[r, 1], Im R_j[r], Re R_j[r]); Im(q R) = Re q Im R + Im q Re R."""
+    e0, e1, im, re = row
+    return (x[r] + (e0[j] * x[0] + e1[j] * x[1])) + (q.real * im[j] + q.imag * re[j])
 
-    Returns z and z' at the n_samples samples i dt, with the drive sin(w dt i)
-    they were integrated against and the step map x_(i+1) = P x_i + Im(g q^i)
-    they were evaluated from (_rk4_map's tuple).  From a block's first sample
-    s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum over k < j of
-    P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j and q^j are
-    tabulated once per run by doubling, and each block is evaluated from
-    them in closed form, with no step loop.  Given increasing samples `at`, z is
-    evaluated only there and at block ends: a pair (z, its drive's q^s q^j) each.
 
-    This is the RK4 solution, phase error included, rounded differently:
-    tests/test_sim.py holds it to the per-step loop within 1e-11 of the
-    run's largest value.  Each sample depends on its index alone, so a run
-    is the first samples of any longer run on the same grid.  The drive
-    phases are the exact w dt i (_cis), not the float w (i dt): a block holds
-    its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
-    1M-step run past that bound (test_long_run_keeps_the_drive_phase).  The
-    returned drive, q^s times the q^j table, is within ~3e-16 of the exact
-    phase (np.sin(w * (i dt)) is ~1e-16 w t off:
-    tests/test_sim.py::test_drive_keeps_the_exact_phase).
+def _tables(step: tuple, top: int) -> tuple:
+    """The tables _state reads, for z's row and for z''s (j <= top), and q^j
+    (j < top), from _rk4_map's tuple step; top is a power of 2.
+
+    E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]); E_(m+j) = E_m + E_j + E_m E_j,
+    R_(m+j) = R_m + E_j R_m + q^m R_j and q^(m+j) = q^m q^j extend them from m
+    to 2m in one pass, one array operation per term.  I is kept apart, as in
+    _rk4_map.
     """
-    step = _rk4_map(dt, forcing, w, two_zw, wn2)
     num, den, e1, g, q_one, _ = step
-
-    # E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]) for j <= m, q^j (qt[j]) for
-    # j < m; E_(m+j) = E_m + E_j + E_m E_j, R_(m+j) = R_m + E_j R_m + q^m R_j
-    # and q^(m+j) = q^m q^j extend them to 2m in one pass, one array operation
-    # per term.  I is kept apart, as in _rk4_map.
-    top = 1
-    while top < min(n_samples, _BLOCK_STEPS):
-        top *= 2
     et = np.zeros((2, 2, top + 1))
     et[:, :, 1] = e1
     rt = np.zeros((2, top + 1), complex)
@@ -299,29 +288,80 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
         et[:, :, new] = a + ej + (a[:, 0, None] * ej[0] + a[:, 1, None] * ej[1])
         qt[m:2 * m] = qm * qt[:m]
         m *= 2
-    r_re, r_im = np.ascontiguousarray(rt.real), np.ascontiguousarray(rt.imag)
+    z_row, v_row = ((et[r, 0], et[r, 1], rt[r].imag.copy(), rt[r].real.copy()) for r in (0, 1))
+    return z_row, v_row, qt
 
-    def state(r, j):  # row r of the block's states at its columns j, from its first state x
-        return ((x[r] + (et[r, 0, j] * x[0] + et[r, 1, j] * x[1]))
-                + (q.real * r_im[r, j] + q.imag * r_re[r, j]))  # Im(q R) = Re q Im R + Im q Re R
+
+def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2: float,
+         at: Sequence[int]) -> tuple:
+    """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
+
+    Returns (named, z', drive, step, z_blocks): (z, its drive's phase q^s q^j)
+    at each of the increasing samples `at`; z' and the drive sin(w dt i) it was
+    integrated against at the n_samples samples i dt; the step map
+    x_(i+1) = P x_i + Im(g q^i) it was evaluated from (_rk4_map's tuple); and a
+    generator of z, one array per block, evaluated only as it is read.  From a
+    block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum
+    over k < j of P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j
+    and q^j are tabulated once per run by doubling (_tables), and each block
+    is evaluated from them in closed form, with no step loop.  The block loop
+    evaluates z' over each block, and z only at its end (the next block's
+    start) and at `at`; z_blocks keeps each block's (x_s, q^s) and z's row of
+    the tables, and evaluates the rest of z with the same _state.
+
+    This is the RK4 solution, phase error included, rounded differently:
+    tests/test_sim.py holds it to the per-step loop within 1e-11 of the
+    run's largest value.  Each sample depends on its index alone, so a run
+    is the first samples of any longer run on the same grid.  The drive
+    phases are the exact w dt i (_cis), not the float w (i dt): a block holds
+    its first phase's rounding, ~1e-16 w t, for all its steps, which takes a
+    1M-step run past that bound (test_long_run_keeps_the_drive_phase).  The
+    returned drive, q^s times the q^j table, is within ~3e-16 of the exact
+    phase (np.sin(w * (i dt)) is ~1e-16 w t off:
+    tests/test_sim.py::test_drive_keeps_the_exact_phase).
+    """
+    step = _rk4_map(dt, forcing, w, two_zw, wn2)
+    num, den = step[:2]
+    m = 1
+    while m < min(n_samples, _BLOCK_STEPS):
+        m *= 2
+    z_row, v_row, qt = _tables(step, m)
 
     # blocks of m steps share their end sample, which is the next block's start
     # state; a lone last sample takes its drive but no state block of its own.
-    # Given `at`, the drive takes z's row: two half-size buffers are trimmed and refaulted each run
-    zv = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))  # from rest
-    sin = np.empty(n_samples) if at is None else zv[0, :n_samples]
-    z0, named, phases = 0.0, [], np.empty(m, complex)  # phases: one block's q^s q^j
+    # One whole-run buffer holds the drive and z': two half-size buffers are
+    # trimmed and refaulted each run
+    buf = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))  # z' from rest
+    sin = buf[0, :n_samples]
+    z0, named, firsts, phases = 0.0, [], [], np.empty(m, complex)  # phases: one block's q^s q^j
     for start in range(0, n_samples, m):
         q = _cis(num, den, start)  # q^s
         qs = np.multiply(q, qt[:n_samples - start], out=phases[:n_samples - start])
         sin[start:start + m] = qs.imag
-        x = (z0, zv[1, start])  # read before the write
-        named += [(state(0, s - start), qs[s - start]) for s in at or () if start <= s < start + m]
+        x = (z0, buf[1, start])  # read before the write
+        firsts.append((start, x, q))
+        named += [(_state(z_row, 0, x, q, s - start), qs[s - start])
+                  for s in at if start <= s < start + m]
         if start < n_samples - 1:
-            for r in (0, 1) if at is None else (1,):
-                zv[r, start:start + m + 1] = state(r, slice(None))
-            z0 = state(0, m)
-    return zv[0, :n_samples] if at is None else named, zv[1, :n_samples], sin, step
+            buf[1, start:start + m + 1] = _state(v_row, 1, x, q, slice(None))
+            z0 = _state(z_row, 0, x, q, m)
+
+    def z_blocks():
+        for start, x, q in firsts:
+            yield _state(z_row, 0, x, q, slice(min(m, n_samples - start)))
+
+    return named, buf[1, :n_samples], sin, step, z_blocks()
+
+
+def _trace_blocks(dt: float, z_blocks: Iterable[np.ndarray], v: np.ndarray, coupling: float,
+                  share: float) -> Iterator[tuple]:
+    """The trace's columns (t, z, z', emf, p_load) over each block of z in turn."""
+    stop = 0
+    for z in z_blocks:
+        start, stop = stop, stop + len(z)
+        zdot = v[start:stop]
+        emf = coupling * zdot
+        yield np.arange(start, stop) * dt, z, zdot, emf, emf * emf * share
 
 
 def simulate(
@@ -329,9 +369,13 @@ def simulate(
     c: CoilCircuit,
     e: Excitation,
     cfg: SimConfig,
-    return_trace: bool = False,
-) -> TraceSummary | tuple[TraceSummary, Trace]:
+    return_trace: bool | Literal["blocks"] = False,
+) -> TraceSummary | tuple[TraceSummary, Trace] | tuple[TraceSummary, Iterator[tuple]]:
     """Integrate one run and summarize its steady state.
+
+    return_trace=True returns the Trace with the summary; "blocks" returns its
+    columns as an iterator of blocks of at most 4096 samples, each a tuple in
+    Trace's field order, evaluated as it is read: `simulate --out` writes them.
 
     The electrical damping coefficient is held constant over the run (a
     linear circuit model); load power is emf^2 * R_load / (R_load + R_coil)^2.
@@ -347,7 +391,7 @@ def simulate(
     or more, SimulationNotSettled is raised.  The energy audit (work
     m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule over the
     run, with the drive _rk4 integrated against; a residual >= 1e-3 raises
-    ValueError) checks the run.
+    ValueError) checks the run before any of its trace is formed.
 
     Only underdamped designs run (zeta_T < 1, else ValueError): the settle
     test measures a ringing transient, and suggest's run assumes one;
@@ -382,20 +426,22 @@ def simulate(
     n_steps = cfg.n_steps
     dt = cfg.dt_s
 
-    if e.amplitude_m == 0.0:
+    if e.amplitude_m == 0.0:  # at rest throughout: every column but t is 0
         summary = TraceSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        if return_trace:
-            return summary, Trace(np.arange(n_steps + 1) * dt, *np.zeros((4, n_steps + 1)))
-        return summary
+        if not return_trace:
+            return summary
+        rest = np.broadcast_to(0.0, (n_steps + 1,))
+        blocks = (rest[s:s + _BLOCK_STEPS] for s in range(0, n_steps + 1, _BLOCK_STEPS))
+        return _with_trace(summary, _trace_blocks(dt, blocks, rest, 0.0, 0.0), return_trace,
+                           n_steps + 1)
 
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
     i0 = int(cfg.settle_fraction * n_steps)
-    args = (n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn)
-    if return_trace:  # both rows over the whole run
-        z_arr, v_arr, drive, step = _rk4(*args)
-        z_i0, z_end, q0 = z_arr[i0], z_arr[-1], _cis(step[0], step[1], i0)
-    else:  # z only at i0 and the end, with q^i0 from the drive's own product
-        ((z_i0, q0), (z_end, _)), v_arr, drive, step = _rk4(*args, (i0, n_steps))
+    # z at i0 and the end, with q^i0 from the drive's own product
+    ((z_i0, q0), (z_end, _)), v_arr, drive, step, z_blocks = _rk4(
+        n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn, (i0, n_steps))
+    if not return_trace:
+        del z_blocks  # and with it the tables, before the audit's buffers
     x_z, x_v = step[5]
     z_amp = abs(x_z)
     transient = math.hypot(float(z_i0) - (x_z * q0).imag,
@@ -421,7 +467,6 @@ def simulate(
     w_in = float(simpson(drive, dx=dt))
     v2 = np.multiply(v_arr, v_arr, out=drive)
     w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
-    del drive, v2  # the audit's buffer, freed before a trace's columns are built
     v_end, z_end = float(v_arr[-1]), float(z_end)
     e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
     scale = max(abs(w_in), w_diss + abs(e_mech))
@@ -441,11 +486,27 @@ def simulate(
         energy_balance_residual=residual,
         phase_rad=math.atan2(-x_z.imag, x_z.real),
     )
-    if return_trace:
-        t = np.arange(n_steps + 1) * dt
-        emf_arr = coupling * v_arr
-        return summary, Trace(t, z_arr, v_arr, emf_arr, emf_arr * emf_arr * share)
-    return summary
+    if not return_trace:
+        return summary
+    # a Trace's z takes the audit's buffer, and its z' is the run's own
+    return _with_trace(summary, _trace_blocks(dt, z_blocks, v_arr, coupling, share),
+                       return_trace, n_steps + 1, drive, v_arr)
+
+
+def _with_trace(summary: TraceSummary, blocks: Iterator[tuple], return_trace: bool | str,
+                n_samples: int, z: np.ndarray | None = None,
+                zdot: np.ndarray | None = None) -> tuple:
+    """simulate's (summary, trace): the trace's blocks as they come, or the
+    Trace they fill, in the z and zdot buffers where the run lends them."""
+    if return_trace == "blocks":
+        return summary, blocks
+    columns = [np.empty(n_samples) if col is None else col for col in (None, z, zdot, None, None)]
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block[0])
+        for column, part in zip(columns, block):
+            column[start:stop] = part
+    return summary, Trace(*columns)
 
 
 def frequency_sweep_sim(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from emharvest import load_catalog, sim
 from emharvest._csvrows import format_rows
 from emharvest.cli import _NUM, _emit_csv, main
 
@@ -304,6 +305,23 @@ class TestSimulateCommand:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(0.8, rel=1e-9)
 
+    def test_zero_drive_trace_is_at_rest(self, tmp_path, capsys):
+        # accel_m_s2 = 0 over two blocks and two samples: every row is its
+        # time and four zeros, every figure 0
+        text = BENCH.replace("accel_m_s2 = 0.0\nfreq_hz = 120",
+                             "accel_m_s2 = 0.0\nfreq_hz = 120\ndt_s = 1e-4\nduration_s = 0.8193")
+        cfg = bench_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--scenario", "silent", "--out", str(out)]) == 0
+        rep = report(capsys.readouterr().out)
+        assert rep["steps"] == "8193"
+        for label in ("relative amplitude m", "load power W", "energy residual"):
+            assert rep[label] == "0.00000000e+00"
+        t = np.arange(8194) * load_catalog(cfg).scenario("silent").sim.dt_s
+        names = ("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w")
+        expected = _reference_csv(names, [t, *np.zeros((4, 8194))])
+        assert out.read_bytes() == expected.encode("utf-8")
+
     @pytest.mark.filterwarnings("ignore:run of")
     def test_unsettled_run_exits_4(self, tmp_path, capsys):
         path = tmp_path / "rushed.ini"
@@ -362,12 +380,24 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "error: --out: empty path\n"
 
-    def test_trace_out_is_not_created_by_a_failed_run(self, tmp_path, capsys):
+    def test_trace_out_is_not_created_by_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        # refused before the run, or failing the energy audit: the trace is
+        # streamed only after the audit has passed
         text = BENCH.replace("r_load_ohm = 150", "r_load_ohm = 150\nl_coil_h = 1e-3")
         cfg = bench_config(tmp_path, text)
         out = tmp_path / "trace.csv"
         argv = ["simulate", "--config", cfg, "--scenario", "bench_run", "--out", str(out)]
         assert main(argv) == 3
+        assert not out.exists()
+        rk4 = sim._rk4
+
+        def spoiled(*args):  # z' 1% high: the work and heat integrals do not balance
+            named, v, drive, step, z_blocks = rk4(*args)
+            return named, v * 1.01, drive, step, z_blocks
+
+        monkeypatch.setattr(sim, "_rk4", spoiled)
+        assert main(["simulate", "--scenario", "cantilever_nominal", "--out", str(out)]) == 3
+        assert "energy balance residual" in capsys.readouterr().err
         assert not out.exists()
 
     def test_step_count_above_ceiling_exits_2(self, tmp_path, capsys):
@@ -579,7 +609,7 @@ def test_csv_writer_matches_row_reference_across_blocks(tmp_path, capsys, n_rows
     ]
     names = ("a", "b", "t_s")
     path = tmp_path / "table.csv"
-    _emit_csv(names, columns, str(path) if to_file else None)
+    _emit_csv(names, [columns], str(path) if to_file else None)
     written = path.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
     assert written == _reference_csv(names, columns).encode("utf-8")
 
@@ -637,8 +667,9 @@ def test_format_rows_declines_what_it_cannot_prove(value):
 
 
 def test_csv_writer_falls_back_only_where_needed(tmp_path):
-    # the second block holds a NaN and an inf, the third an exact tie; every
-    # byte still equals the row-at-a-time reference
+    # the rows around 5000 hold a NaN and an inf, those around 9000 an exact
+    # tie; every byte still equals the row-at-a-time reference, whether the
+    # columns come whole or in chunks of any size, across the formatting blocks
     n_rows = 3 * 4096
     rng = np.random.default_rng(7)
     columns = [np.arange(n_rows) * 2e-5, rng.standard_normal(n_rows) * 1e-3,
@@ -648,10 +679,13 @@ def test_csv_writer_falls_back_only_where_needed(tmp_path):
     columns[1][9000] = 100000000.5
     names = ("t_s", "z_m", "p_w")
     assert format_rows(np.column_stack([c[:4096] for c in columns])) is not None
-    _emit_csv(names, columns, str(tmp_path / "t.csv"))
-    written = (tmp_path / "t.csv").read_bytes()
-    assert written == _reference_csv(names, columns).encode("utf-8")
-    assert b"nan" in written and b"-inf" in written
+    expected = _reference_csv(names, columns).encode("utf-8")
+    assert b"nan" in expected and b"-inf" in expected
+    for size in (None, 1, 1023, 1024, 1025, 4096):
+        chunks = [columns] if size is None else [
+            [c[i:i + size] for c in columns] for i in range(0, n_rows, size)]
+        _emit_csv(names, chunks, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == expected, size
 
 
 def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
@@ -662,13 +696,31 @@ def test_csv_writer_memory_does_not_grow_with_the_table(tmp_path):
     names = ("t_s", "z_m", "zdot_m_s", "emf_v", "p_load_w")
     tracemalloc.start()
     try:
-        _emit_csv(names, columns, str(tmp_path / "trace.csv"))
+        _emit_csv(names, [columns], str(tmp_path / "trace.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6
     with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == n_rows + 1
+
+
+def test_simulate_out_holds_no_more_memory_than_a_run_without_a_trace(tmp_path, capsys):
+    # the trace is written block by block from the RK4 run, after its audit:
+    # no whole-run t, z, emf or p_load column exists
+    argv = ["simulate", "--scenario", "cantilever_nominal"]
+    traced = [*argv, "--out", str(tmp_path / "trace.csv")]
+    assert main(traced) == 0  # the writer's module and tables, loaded once per process
+    peaks = []
+    for run in (argv, traced):
+        tracemalloc.start()
+        try:
+            assert main(run) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= peaks[0] + 1e6, peaks
 
 
 # sha256 of every CLI artefact of the two bundled scenarios; for

@@ -195,6 +195,9 @@ class TestSimulate:
         for column in (trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w):
             assert column.shape == (cfg.n_steps + 1,)
             assert not column.any()
+        _, blocks = simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), cfg,
+                             return_trace="blocks")
+        assert_streams(blocks, trace)
 
     @pytest.mark.parametrize("zeta", [0.002, 0.0063245553203367585, 0.02, 0.0632455532033676, 0.2])
     @pytest.mark.parametrize("ratio", [0.5, 0.875, 1.25, 1.625, 2.0])
@@ -366,8 +369,8 @@ class TestSimulate:
         e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
 
         def spoiled(*args):
-            z, v, sin, step = _rk4(*args)
-            return z, v * 1.01, sin, step
+            named, v, sin, step, z_blocks = _rk4(*args)
+            return named, v * 1.01, sin, step, z_blocks
 
         monkeypatch.setattr(sim, "_rk4", spoiled)
         with pytest.raises(ValueError,
@@ -384,11 +387,12 @@ class TestSimulate:
         assert s_loaded.z_amp_m < s_open.z_amp_m
 
 
-def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2):
+def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2, at):
     """The per-step form of sim._rk4: math.sin at every step, states kept in
-    whole-run lists, its own drive np.sin(w t), and the step map of
-    sim._rk4_map, whose forced orbit simulate reads.  The closed form must
-    reproduce z and z' within 1e-11 of their largest value (RK4_REL)."""
+    whole-run lists, its own drive np.sin(w t), the step map of
+    sim._rk4_map, whose forced orbit simulate reads, z with _cis's phase at
+    each named sample, and z as one block.  The closed form must reproduce
+    z and z' within 1e-11 of their largest value (RK4_REL)."""
     t = np.arange(n_samples) * dt
     sin = math.sin
     half = 0.5 * dt
@@ -417,7 +421,24 @@ def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2):
         zs.append(z)
         vs.append(v)
     step = sim._rk4_map(dt, forcing, w, two_zw, wn2)
-    return np.asarray(zs), np.asarray(vs), np.sin(w * t), step
+    z = np.asarray(zs)
+    named = [(z[s], sim._cis(step[0], step[1], s)) for s in at]
+    return named, np.asarray(vs), np.sin(w * t), step, iter([z])
+
+
+def whole_run(rk4, *args):
+    """z and z' at every sample of rk4's run: its z blocks drained, and its z'."""
+    _, v, _, _, z_blocks = rk4(*args, ())
+    return np.concatenate(list(z_blocks)), v
+
+
+def assert_streams(blocks, trace):
+    """The blocks hold five columns of at most one _rk4 block each, which
+    together are the trace's columns bit for bit."""
+    blocks = list(blocks)
+    assert all(len(b) == 5 and 0 < len(b[0]) <= sim._BLOCK_STEPS for b in blocks)
+    for column, f in zip(zip(*blocks), fields(trace)):
+        assert np.concatenate(column).tobytes() == getattr(trace, f.name).tobytes(), f.name
 
 
 # how far the closed-form RK4 may sit from the per-step loop, relative to the
@@ -440,8 +461,9 @@ class TestBlockedDrive:
         seen = []
 
         def recording(*args):
-            seen.append(rk4(*args))
-            return seen[-1]
+            named, v, sin, step, z_blocks = rk4(*args)
+            seen.append((np.concatenate(list(z_blocks)), v))
+            return named, v, sin, step, iter([seen[-1][0]])
 
         monkeypatch.setattr(sim, "_rk4", recording)
         try:
@@ -449,7 +471,7 @@ class TestBlockedDrive:
         except SimulationNotSettled:
             result = None
         [zv] = seen
-        return zv[:2], result
+        return zv, result
 
     # one partial block, a block short, exact, one over, two blocks and a step
     @pytest.mark.parametrize("n_steps", [11, 4095, 4096, 4097, 8193])
@@ -485,8 +507,8 @@ class TestBlockedDrive:
         w = 1.1 * wn
         dt = 2.0 * math.pi / w / 64.0
         args = (dt, 1e-6 * w * w, w, 2.0 * 0.05 * wn, wn * wn)
-        z_long, v_long = _rk4(8194, *args)[:2]
-        z, v = _rk4(n_steps + 1, *args)[:2]
+        z_long, v_long = whole_run(_rk4, 8194, *args)
+        z, v = whole_run(_rk4, n_steps + 1, *args)
         assert z.tobytes() == z_long[:n_steps + 1].tobytes()
         assert v.tobytes() == v_long[:n_steps + 1].tobytes()
         assert z[0] == v[0] == 0.0
@@ -504,7 +526,7 @@ def test_closed_form_rk4_matches_per_step_loop(zeta, ratio, steps_per_period, n_
     w = ratio * wn
     dt = 2.0 * math.pi / max(w, wn) / steps_per_period
     args = (n_steps + 1, dt, 1e-6 * w * w, w, 2.0 * zeta * wn, wn * wn)
-    assert_near_per_step(_rk4(*args)[:2], per_step_rk4(*args)[:2])
+    assert_near_per_step(whole_run(_rk4, *args), whole_run(per_step_rk4, *args))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -527,7 +549,8 @@ def test_summary_is_the_settled_per_step_loop(zeta, ratio, steps_per_period):
     assert cfg.n_steps == n_steps
     e = Excitation(1e-6, w)
     s = simulate(g, dead_coil(), e, cfg)
-    z, v = per_step_rk4(n_steps + 1, dt, e.amplitude_m * w * w, w, 2.0 * zeta_t * wn, wn * wn)[:2]
+    z, v = whole_run(per_step_rk4, n_steps + 1, dt, e.amplitude_m * w * w, w, 2.0 * zeta_t * wn,
+                     wn * wn)
     tail = np.arange(i_tail, n_steps + 1)
     design = np.column_stack([np.sin(w * tail * dt), np.cos(w * tail * dt)])
     (za, zb), (va, vb) = np.linalg.lstsq(design, np.column_stack([z[tail], v[tail]]),
@@ -590,7 +613,7 @@ def test_long_run_keeps_the_drive_phase():
     wn = 2.0 * math.pi * 100.0
     dt = 2.0 * math.pi / wn / 64.0
     args = (1_000_001, dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)
-    assert_near_per_step(_rk4(*args)[:2], per_step_rk4(*args)[:2])
+    assert_near_per_step(whole_run(_rk4, *args), whole_run(per_step_rk4, *args))
 
 
 def fraction_cis(w, dt, steps, per):
@@ -629,7 +652,7 @@ def test_drive_keeps_the_exact_phase():
     wn = 2.0 * math.pi * 100.0
     dt = 2.0 * math.pi / wn / 64.0
     n = 1_000_001
-    sin = sim._rk4(n, dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn)[2]
+    sin = sim._rk4(n, dt, 1e-6 * wn * wn, wn, 2.0 * 0.01 * wn, wn * wn, ())[2]
     assert sin.shape == (n,)
     (wp, wq), (dp, dq) = wn.as_integer_ratio(), dt.as_integer_ratio()
 
@@ -651,7 +674,8 @@ def test_drive_keeps_the_exact_phase():
                          ids=["cantilever_nominal", "lateral_nominal", "cantilever_nominal-i0=0",
                               "cantilever_nominal-i0=98304", "cantilever_nominal-i0=2048"])
 def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name, i0):
-    # the integrator, the settle test and the audit share one set of phases
+    # the integrator, the settle test, the audit and the trace, drained, share
+    # one set of phases, with or without a trace
     scn = emharvest.load_catalog().scenario(name)
     g, c = scn.generator.params, scn.generator.circuit
     e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
@@ -666,11 +690,15 @@ def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name, i0):
         return cis(num, den, steps, per)
 
     monkeypatch.setattr(sim, "_cis", counting)
-    try:
-        simulate(g, c, e, cfg)
-    except SimulationNotSettled:  # an early window: the phases are counted all the same
-        assert i0 is not None and i0 < 98304
-    assert calls and len(set(calls)) == len(calls)
+    for return_trace in (False, True):
+        del calls[:]
+        try:
+            run = simulate(g, c, e, cfg, return_trace)
+        except SimulationNotSettled:  # an early window: the phases are counted all the same
+            assert i0 is not None and i0 < 98304
+        else:
+            assert not return_trace or len(run[1].z_m) == cfg.n_steps + 1
+        assert calls and len(set(calls)) == len(calls), return_trace
 
 
 def random_run(rng, n):
@@ -692,18 +720,47 @@ def named_samples(rng, n):
     return tuple(sorted(int(s) for s in picks if s < n))
 
 
+def two_row_rk4(n_samples, dt, forcing, w, two_zw, wn2):
+    """sim._rk4's block loop as it was before it streamed z: from the same
+    tables, z and z' written over every block of one whole-run buffer, and
+    the drive in its own array.  What _rk4 returns and streams must equal it
+    bit for bit."""
+    step = sim._rk4_map(dt, forcing, w, two_zw, wn2)
+    m = 1
+    while m < min(n_samples, sim._BLOCK_STEPS):
+        m *= 2
+    *rows, qt = sim._tables(step, m)
+
+    def state(r, j):
+        e0, e1, im, re = rows[r]
+        return (x[r] + (e0[j] * x[0] + e1[j] * x[1])) + (q.real * im[j] + q.imag * re[j])
+
+    zv = np.zeros((2, -(-(n_samples - 1) // m) * m + 1))
+    sin = np.empty(n_samples)
+    z0 = 0.0
+    for start in range(0, n_samples, m):
+        q = sim._cis(step[0], step[1], start)
+        sin[start:start + m] = (q * qt[:n_samples - start]).imag
+        x = (z0, zv[1, start])
+        if start < n_samples - 1:
+            for r in (0, 1):
+                zv[r, start:start + m + 1] = state(r, slice(None))
+            z0 = state(0, m)
+    return zv[0, :n_samples], zv[1, :n_samples], sin, step
+
+
 # a sample, two, a block short, exact, one over, two blocks and a step, three
 # blocks and a step; then random lengths
 @pytest.mark.parametrize("n", [2, 3, 4095, 4096, 4097, 8193, 12289, None])
 def test_trace_free_run_is_the_two_row_run(n):
-    # z' and the drive bit for bit, and z at each named sample as in the z row,
-    # with the drive's own phase there: 8 x 19 runs
+    # z' and the drive bit for bit, z at each named sample and over the drained
+    # blocks as in the z row, with the drive's own phase there: 8 x 19 runs
     rng = np.random.default_rng(n or 0)
     for _ in range(19):
         args = random_run(rng, n or int(rng.integers(2, 13000)))
         at = named_samples(rng, args[0])
-        z, v, sin, step = _rk4(*args)
-        named, v_at, sin_at, step_at = _rk4(*args, at)
+        z, v, sin, step = two_row_rk4(*args)
+        named, v_at, sin_at, step_at, z_blocks = _rk4(*args, at)
         assert v_at.tobytes() == v.tobytes() and sin_at.tobytes() == sin.tobytes()
         assert step_at == step and len(named) == len(at)
         num, den = step[:2]
@@ -711,40 +768,43 @@ def test_trace_free_run_is_the_two_row_run(n):
             assert np.float64(z_s).tobytes() == z[s].tobytes()
             assert q_s.imag == sin[s]
             assert abs(q_s - sim._cis(num, den, s)) <= 1e-15
+        assert np.concatenate(list(z_blocks)).tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4097, 12289])
 def test_trace_free_run_evaluates_z_only_at_block_ends_and_named_samples(monkeypatch, n):
-    # each state the evaluator forms reads its row and columns of the R_j
-    # table once: z' over whole blocks, z at single columns only; the one
-    # whole-run buffer holds z' and the drive
+    # the block loop forms z' over whole blocks and z at single columns only;
+    # z over a block is formed only when the z blocks are read, once each; the
+    # one whole-run buffer holds z' and the drive
     m = min(sim._BLOCK_STEPS, 1 << (n - 1).bit_length())
     at = (0, m, n - 1) if n > m else (0, n - 1)
-    reads, sizes = [], []
-    contiguous, zeros = np.ascontiguousarray, np.zeros
+    calls, sizes = [], []
+    state, zeros = sim._state, np.zeros
 
-    class Table(np.ndarray):
-        def __getitem__(self, key):
-            reads.append(key)
-            return self.view(np.ndarray)[key]
+    def recording_state(row, r, x, q, j):
+        calls.append((r, j))
+        return state(row, r, x, q, j)
 
     def recording_zeros(shape, *args, **kwargs):
         sizes.append(shape)
         return zeros(shape, *args, **kwargs)
 
     args = random_run(np.random.default_rng(n), n)
-    monkeypatch.setattr(np, "ascontiguousarray", lambda a: contiguous(a).view(Table))
+    monkeypatch.setattr(sim, "_state", recording_state)
     monkeypatch.setattr(np, "zeros", recording_zeros)
-    _, v, sin, _ = _rk4(*args, at)
+    _, v, sin, _, z_blocks = _rk4(*args, at)
     expected = []
     for start in range(0, n, m):
         expected += [(0, s - start) for s in at if start <= s < start + m]
         if start < n - 1:
             expected += [(1, slice(None)), (0, m)]
-    assert reads == [key for key in expected for _ in ("Im R", "Re R")]
+    assert calls == expected
     # the P^j and R_j tables, then the buffer of z' and the drive
     assert sizes == [(2, 2, m + 1), (2, m + 1), (2, -(-(n - 1) // m) * m + 1)]
     assert v.base is sin.base is not None
+    del calls[:]
+    assert sum(len(z) for z in z_blocks) == n
+    assert calls == [(0, slice(min(m, n - start))) for start in range(0, n, m)]
 
 
 @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
@@ -752,8 +812,12 @@ def test_trace_free_summary_is_the_traced_summary(name):
     scn = emharvest.load_catalog().scenario(name)
     g, c = scn.generator.params, scn.generator.circuit
     e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
-    plain, (traced, _) = simulate(g, c, e, scn.sim), simulate(g, c, e, scn.sim, return_trace=True)
+    plain = simulate(g, c, e, scn.sim)
+    traced, trace = simulate(g, c, e, scn.sim, return_trace=True)
+    streamed, blocks = simulate(g, c, e, scn.sim, return_trace="blocks")
     assert [v.hex() for v in astuple(plain)] == [v.hex() for v in astuple(traced)]
+    assert streamed == traced
+    assert_streams(blocks, trace)
 
 
 # (4097, 4096) and (12289, 4096): the last sample starts a block of its own,
@@ -764,12 +828,12 @@ def test_trace_free_summary_is_the_traced_summary(name):
 def test_drive_covers_every_sample_of_short_and_ragged_runs(n, i0):
     w, dt = 2.0 * math.pi * 100.0, 1e-4
     args = (dt, 1e-6 * w * w, w, 2.0 * 0.05 * w, w * w)
-    sin = sim._rk4(n, *args)[2]
+    sin = sim._rk4(n, *args, ())[2]
     (wp, wq), (dp, dq) = w.as_integer_ratio(), dt.as_integer_ratio()
     exact = np.array([sim._cis(wp * dp, wq * dq, i) for i in range(n)])
     # a few roundings: q^j is a product of up to log2(m) table factors
     assert np.max(np.abs(sin - exact.imag)) <= 1e-15
-    assert sim._rk4(i0 + 1, *args)[2].tobytes() == sin[:i0 + 1].tobytes()
+    assert sim._rk4(i0 + 1, *args, ())[2].tobytes() == sin[:i0 + 1].tobytes()
 
 
 def exact_ringing(t, forcing, w, zeta, wn):
