@@ -196,8 +196,8 @@ class Trace:
     """Full sampled time histories; all arrays share the t_s time base.
 
     simulate(..., return_trace=True) fills it from the blocks that
-    return_trace="blocks" streams: 40 bytes per sample, where a stream
-    holds one block of at most 4096 samples at a time."""
+    return_trace="blocks" streams (z in the audit's buffer, z' the run's own):
+    40 bytes per sample, where a stream holds one block of at most 4096."""
 
     t_s: np.ndarray
     z_m: np.ndarray
@@ -387,11 +387,12 @@ def simulate(
     state: z_amp = |X_z|, phase = -arg X_z, and each power is its damper c
     times <z'^2> = |X_v|^2 / 2.  If the start-up transient at the window
     start i0 = int(settle_fraction * n_steps),
-    hypot(z - Im(X_z q^i0), (z' - Im(X_v q^i0)) / w_n), is _SETTLE_LIMIT * |X_z|
-    or more, SimulationNotSettled is raised.  The energy audit (work
-    m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule over the
-    run, with the drive _rk4 integrated against; a residual >= 1e-3 raises
-    ValueError) checks the run before any of its trace is formed.
+    hypot(z - Im(X_z q^i0), (z' - Im(X_v q^i0)) / w_n), is over
+    _SETTLE_LIMIT * |X_z|, SimulationNotSettled is raised.  The energy audit
+    (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule
+    over the run, with the drive _rk4 integrated against; a residual >= 1e-3
+    raises ValueError) checks the run before any of its trace is formed.  A
+    zero drive takes this path too: X = 0, so it settles and reads 0, phase too.
 
     Only underdamped designs run (zeta_T < 1, else ValueError): the settle
     test measures a ringing transient, and suggest's run assumes one;
@@ -425,16 +426,6 @@ def simulate(
 
     n_steps = cfg.n_steps
     dt = cfg.dt_s
-
-    if e.amplitude_m == 0.0:  # at rest throughout: every column but t is 0
-        summary = TraceSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        if not return_trace:
-            return summary
-        rest = np.broadcast_to(0.0, (n_steps + 1,))
-        blocks = (rest[s:s + _BLOCK_STEPS] for s in range(0, n_steps + 1, _BLOCK_STEPS))
-        return _with_trace(summary, _trace_blocks(dt, blocks, rest, 0.0, 0.0), return_trace,
-                           n_steps + 1)
-
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
     i0 = int(cfg.settle_fraction * n_steps)
     # z at i0 and the end, with q^i0 from the drive's own product
@@ -446,7 +437,7 @@ def simulate(
     z_amp = abs(x_z)
     transient = math.hypot(float(z_i0) - (x_z * q0).imag,
                            (float(v_arr[i0]) - (x_v * q0).imag) / wn)
-    if not transient < _SETTLE_LIMIT * z_amp:
+    if not transient <= _SETTLE_LIMIT * z_amp:  # a run at rest passes, a NaN fails
         raise SimulationNotSettled(
             f"start-up transient is {transient / z_amp if z_amp else math.inf:.3g} of the "
             f"amplitude when the measurement window opens, over the {_SETTLE_LIMIT} settle "
@@ -484,23 +475,15 @@ def simulate(
         p_load_avg_w=coupling * coupling * share * ms,
         p_parasitic_avg_w=c_p * ms,
         energy_balance_residual=residual,
-        phase_rad=math.atan2(-x_z.imag, x_z.real),
+        phase_rad=math.atan2(-x_z.imag, x_z.real) if z_amp else 0.0,  # X = 0 reads -0 or pi
     )
     if not return_trace:
         return summary
-    # a Trace's z takes the audit's buffer, and its z' is the run's own
-    return _with_trace(summary, _trace_blocks(dt, z_blocks, v_arr, coupling, share),
-                       return_trace, n_steps + 1, drive, v_arr)
-
-
-def _with_trace(summary: TraceSummary, blocks: Iterator[tuple], return_trace: bool | str,
-                n_samples: int, z: np.ndarray | None = None,
-                zdot: np.ndarray | None = None) -> tuple:
-    """simulate's (summary, trace): the trace's blocks as they come, or the
-    Trace they fill, in the z and zdot buffers where the run lends them."""
+    blocks = _trace_blocks(dt, z_blocks, v_arr, coupling, share)
     if return_trace == "blocks":
         return summary, blocks
-    columns = [np.empty(n_samples) if col is None else col for col in (None, z, zdot, None, None)]
+    # a Trace's z takes the audit's buffer, and its z' is the run's own
+    columns = (np.empty(n_steps + 1), drive, v_arr, np.empty(n_steps + 1), np.empty(n_steps + 1))
     stop = 0
     for block in blocks:
         start, stop = stop, stop + len(block[0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -144,6 +145,11 @@ def record_orbits(monkeypatch):
     return orbits
 
 
+# zero-drive runs: one long enough for a driven run to settle, one too short
+# for it (its window opens ~0.5 time constants in, at every ratio tested)
+ZERO_RUN, SHORT_RUN = SimConfig(5e-5, 0.5), SimConfig(5e-5, 0.02)
+
+
 def window_mean(trace, cfg):
     """The trace's mean load power over the measurement window."""
     return float(np.mean(trace.p_load_w[int(cfg.settle_fraction * cfg.n_steps):]))
@@ -175,29 +181,41 @@ class TestSimulate:
         assert s.z_amp_m == pytest.approx(expect, rel=5e-3)
 
     def test_zero_excitation_all_zero(self):
-        g = make_gen()
-        e = Excitation(0.0, natural_frequency(g))
-        s = simulate(g, dead_coil(), e, SimConfig(1e-4, 0.5))
-        assert s.z_amp_m == 0.0
-        assert s.v_rel_rms_m_per_s == 0.0
-        assert s.emf_rms_v == 0.0
-        assert s.p_load_avg_w == 0.0
-        assert s.p_parasitic_avg_w == 0.0
-        assert s.energy_balance_residual == 0.0
+        # every figure, phase included, is +0.0, below, at and above resonance,
+        # with and without a trace, also where a driven run would not settle
+        g, c = make_gen(), live_coil()
+        for cfg, ratio, return_trace in itertools.product(
+                (ZERO_RUN, SHORT_RUN), (0.5, 1.0, 2.0), (False, True, "blocks")):
+            w = ratio * natural_frequency(g)
+            if cfg is SHORT_RUN:
+                with pytest.raises(SimulationNotSettled):
+                    simulate(g, c, Excitation(1e-6, w), cfg)
+            out = simulate(g, c, Excitation(0.0, w), cfg, return_trace=return_trace)
+            s = out[0] if return_trace else out
+            assert s == simulate(g, c, Excitation(0.0, w), cfg)
+            for f in fields(s):
+                x = getattr(s, f.name)
+                assert x == 0.0 and math.copysign(1.0, x) == 1.0, (cfg, ratio, f.name)
 
     def test_zero_excitation_trace_is_all_zero(self):
         g = make_gen()
-        cfg = SimConfig(1e-4, 0.5)
-        s, trace = simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), cfg,
-                            return_trace=True)
-        assert s.z_amp_m == 0.0
-        np.testing.assert_array_equal(trace.t_s, np.arange(cfg.n_steps + 1) * cfg.dt_s)
-        for column in (trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w):
-            assert column.shape == (cfg.n_steps + 1,)
-            assert not column.any()
-        _, blocks = simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), cfg,
-                             return_trace="blocks")
-        assert_streams(blocks, trace)
+        for cfg, ratio in itertools.product((ZERO_RUN, SHORT_RUN), (0.5, 1.0, 2.0)):
+            e = Excitation(0.0, ratio * natural_frequency(g))
+            s, trace = simulate(g, live_coil(), e, cfg, return_trace=True)
+            assert s.z_amp_m == 0.0
+            np.testing.assert_array_equal(trace.t_s, np.arange(cfg.n_steps + 1) * cfg.dt_s)
+            for column in (trace.z_m, trace.zdot_m_s, trace.emf_v, trace.p_load_w):
+                assert column.shape == (cfg.n_steps + 1,)
+                assert not column.any()
+                assert not np.signbit(column).any()  # a trace CSV prints no -0
+            _, blocks = simulate(g, live_coil(), e, cfg, return_trace="blocks")
+            assert_streams(blocks, trace)
+
+    def test_zero_drive_runs_the_integrator(self, monkeypatch):
+        orbits = record_orbits(monkeypatch)
+        g = make_gen()
+        simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), ZERO_RUN)
+        assert orbits == [(0j, 0j)]
 
     @pytest.mark.parametrize("zeta", [0.002, 0.0063245553203367585, 0.02, 0.0632455532033676, 0.2])
     @pytest.mark.parametrize("ratio", [0.5, 0.875, 1.25, 1.625, 2.0])
