@@ -324,17 +324,13 @@ def compare_catalog(
     """
     if not records:
         raise ValueError("catalog is empty")
-    rows = [
-        CatalogRow(
-            name=d.name,
-            volume_mm3=d.volume_mm3,
-            raw_power_w=d.measured_power_w,
-            normalized_power_w=normalize_power(
-                d.measured_power_w, d.measured_at_acceleration_m_s2, a_target_m_s2
-            ),
-            power_density_nw_mm3=power_density(d, a_target_m_s2),
+    rows = []
+    for d in records:
+        p_norm = normalize_power(
+            d.measured_power_w, d.measured_at_acceleration_m_s2, a_target_m_s2
         )
-        for d in records
-    ]
+        # power_density's expression, on the one normalized power
+        rows.append(CatalogRow(d.name, d.volume_mm3, d.measured_power_w, p_norm,
+                               p_norm * 1e9 / d.volume_mm3))
     rows.sort(key=lambda r: (-r.power_density_nw_mm3, r.name))
     return rows

@@ -406,8 +406,8 @@ def em_damping_coefficient(c: CoilCircuit, omega_rad_per_s: float) -> float:
 def _damping_terms(
     g: GeneratorParams, c: CoilCircuit, omega_rad_per_s: float
 ) -> tuple[float, float, float, float, float, float]:
-    """w_n, coupling N l B, |R_load + R_coil + j w L_coil|, c_p, c_e and zeta_T at
-    one drive frequency: evaluate_response reads them all, total_damping the last three."""
+    """w_n, coupling N l B, |R_load + R_coil + j w L_coil|, c_p, c_e and zeta_T at one
+    drive frequency: evaluate_response and simulate read them all, total_damping the last three."""
     # natural_frequency and em_damping_coefficient written out: this runs per point
     wn = math.sqrt(g.stiffness_n_per_m / g.mass_kg)
     c_crit = 2.0 * g.mass_kg * wn

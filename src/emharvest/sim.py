@@ -13,9 +13,9 @@ the integrator's exact steady state, once the run has shown that its
 start-up transient died away; an energy audit over the whole trace, against
 the drive sin(w t) at the integrator's exact phases w dt i, checks the run.
 
-Both routes take their damping from :func:`emharvest.model.total_damping`;
-only the response itself is computed independently, numerically, so the two
-routes can be used to check each other.
+Both routes read their damping from one :func:`emharvest.model._damping_terms`
+call; only the response itself is computed independently, numerically, so
+the two routes can be used to check each other.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .model import (
     GeneratorParams,
     _check_increasing,
     _check_magnitudes,
+    _damping_terms,
     natural_frequency,
     total_damping,
 )
@@ -195,9 +196,9 @@ class TraceSummary:
 class Trace:
     """Full sampled time histories; all arrays share the t_s time base.
 
-    simulate(..., return_trace=True) fills it from the blocks that
-    return_trace="blocks" streams (z in the audit's buffer, z' the run's own):
-    40 bytes per sample, where a stream holds one block of at most 4096."""
+    simulate(..., return_trace=True) is one whole-run block of _trace_blocks, the
+    columns return_trace="blocks" streams (z in the audit's buffer, z' the run's
+    own): 40 bytes per sample, where a stream holds one block of at most 4096."""
 
     t_s: np.ndarray
     z_m: np.ndarray
@@ -355,13 +356,18 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
 
 def _trace_blocks(dt: float, z_blocks: Iterable[np.ndarray], v: np.ndarray, coupling: float,
                   share: float) -> Iterator[tuple]:
-    """The trace's columns (t, z, z', emf, p_load) over each block of z in turn."""
+    """The trace's columns (t, z, z', emf, p_load) over each block of z in turn;
+    t and p_load are formed in place, so a whole-run block makes no temporary."""
     stop = 0
     for z in z_blocks:
         start, stop = stop, stop + len(z)
         zdot = v[start:stop]
         emf = coupling * zdot
-        yield np.arange(start, stop) * dt, z, zdot, emf, emf * emf * share
+        t = np.arange(start, stop, dtype=float)
+        t *= dt
+        p_load = emf * emf
+        p_load *= share
+        yield t, z, zdot, emf, p_load
 
 
 def simulate(
@@ -404,14 +410,13 @@ def simulate(
             f"l_coil_h must be 0, got {c.l_coil_h}"
         )
     w = e.omega_rad_per_s
-    wn = natural_frequency(g)
+    wn, coupling, z_mag, c_p, c_e, zeta_t = _damping_terms(g, c, w)
     period = 2.0 * math.pi / max(w, wn)
     if cfg.dt_s > period / _MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"dt_s={cfg.dt_s} resolves the {period} s period (the faster of the "
             f"drive and natural periods) with fewer than {_MIN_STEPS_PER_PERIOD} steps"
         )
-    c_p, c_e, zeta_t = total_damping(g, c, w)
     if not 0.0 < zeta_t < 1.0:
         raise ValueError(
             f"total damping ratio must be in (0, 1), got {zeta_t}; model and sweep cover >= 1"
@@ -443,13 +448,12 @@ def simulate(
             f"amplitude when the measurement window opens, over the {_SETTLE_LIMIT} settle "
             f"limit; increase duration_s or settle_fraction"
         )
-    # every loss is a damper on z', so each power is c * <z'^2> = c |X_v|^2 / 2
+    # every loss is a damper on z', so each power is c * <z'^2> = c |X_v|^2 / 2;
+    # v_rms is |X_v| / sqrt 2, not that mean's root, which underflows first
     ms = 0.5 * abs(x_v) ** 2
-    v_rms = math.sqrt(ms)
-    coupling = c.coupling_v_s_per_m
-    # load power is share * emf^2: R_load / (R_load + R_coil)^2, none on the open circuit
-    r_series = c.r_load_ohm + c.r_coil_ohm
-    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (r_series * r_series)
+    v_rms = abs(x_v) / math.sqrt(2.0)
+    # load power is share * emf^2: R_load / |Z|^2 (L = 0 here), none on the open circuit
+    share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (z_mag * z_mag)
 
     # bookkeeping over the whole trace, including the transient; the work is
     # integrated in the drive's buffer, which then takes z'^2
@@ -479,17 +483,11 @@ def simulate(
     )
     if not return_trace:
         return summary
-    blocks = _trace_blocks(dt, z_blocks, v_arr, coupling, share)
     if return_trace == "blocks":
-        return summary, blocks
-    # a Trace's z takes the audit's buffer, and its z' is the run's own
-    columns = (np.empty(n_steps + 1), drive, v_arr, np.empty(n_steps + 1), np.empty(n_steps + 1))
-    stop = 0
-    for block in blocks:
-        start, stop = stop, stop + len(block[0])
-        for column, part in zip(columns, block):
-            column[start:stop] = part
-    return summary, Trace(*columns)
+        return summary, _trace_blocks(dt, z_blocks, v_arr, coupling, share)
+    # a Trace is the whole run as one block: z in the audit's buffer, z' the run's own
+    z = np.concatenate(list(z_blocks), out=drive)
+    return summary, Trace(*next(_trace_blocks(dt, (z,), v_arr, coupling, share)))
 
 
 def frequency_sweep_sim(

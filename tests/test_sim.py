@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
@@ -216,6 +217,22 @@ class TestSimulate:
         g = make_gen()
         simulate(g, live_coil(), Excitation(0.0, natural_frequency(g)), ZERO_RUN)
         assert orbits == [(0j, 0j)]
+
+    def test_tiny_drive_keeps_its_rms_velocity_and_emf(self):
+        # Y = 1e-300 m at resonance: |X_v| ~ 6e-297 is in range, |X_v|^2 / 2 is not.
+        # The run is linear in Y, so v_rms and emf are 1e-294 times a 1e-6 m run's;
+        # the powers' true values are below the float range and read 0
+        g, c = make_gen(zeta_p=0.05), live_coil(math.inf)
+        wn = natural_frequency(g)
+        cfg = SimConfig.suggest(g, c, wn)
+        ref = simulate(g, c, Excitation(1e-6, wn), cfg)
+        tiny = simulate(g, c, Excitation(1e-300, wn), cfg)
+        # math.isclose, not pytest.approx, whose default abs tolerance admits 0.0
+        for f in ("z_amp_m", "v_rel_rms_m_per_s", "emf_rms_v"):
+            assert math.isclose(getattr(tiny, f), 1e-294 * getattr(ref, f), rel_tol=1e-12), f
+        assert math.isclose(tiny.v_rel_rms_m_per_s, 4.44e-297, rel_tol=1e-3)
+        assert tiny.emf_rms_v == c.coupling_v_s_per_m * tiny.v_rel_rms_m_per_s
+        assert tiny.p_load_avg_w == tiny.p_parasitic_avg_w == 0.0
 
     @pytest.mark.parametrize("zeta", [0.002, 0.0063245553203367585, 0.02, 0.0632455532033676, 0.2])
     @pytest.mark.parametrize("ratio", [0.5, 0.875, 1.25, 1.625, 2.0])
@@ -836,6 +853,28 @@ def test_trace_free_summary_is_the_traced_summary(name):
     assert [v.hex() for v in astuple(plain)] == [v.hex() for v in astuple(traced)]
     assert streamed == traced
     assert_streams(blocks, trace)
+
+
+def test_trace_allocates_forty_bytes_per_sample():
+    # a Trace is five float64 columns and nothing else outlives the run's peak:
+    # one more whole-run temporary (8 bytes per sample, 1.6 MB here) fails this
+    g, c = make_gen(), live_coil()
+    w = natural_frequency(g)
+    dt = 2.0 * math.pi / w / 64.0
+    cfg = SimConfig(dt, 200_000 * dt)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, trace = simulate(g, c, Excitation(1e-6, w), cfg, return_trace=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(trace.t_s) == cfg.n_steps + 1
+    assert peak <= 40 * (cfg.n_steps + 1) + 256 * 1024
 
 
 # (4097, 4096) and (12289, 4096): the last sample starts a block of its own,
