@@ -35,8 +35,6 @@ from .model import (
     _check_increasing,
     _check_magnitudes,
     _damping_terms,
-    natural_frequency,
-    total_damping,
 )
 
 __all__ = [
@@ -58,6 +56,13 @@ _ENERGY_RESIDUAL_LIMIT = 1e-3
 # the steady amplitude, above which a run has not settled
 _SETTLE_LIMIT = 1e-2
 
+# damping time constants 1/(zeta_t w_n) in a suggested run and in simulate's Q_T > 200
+# guideline, both through _settle_time: at the default window start they leave at most
+# 6.8e-4 of |X_z| over Q_T 30-3000 and w/w_n 0.5-2, a x10 margin under _SETTLE_LIMIT
+_SETTLE_TIME_CONSTANTS = 10.0
+# suggest's circuit for c=None: no electrical damping, read as simulate reads an open circuit
+_NO_COIL = CoilCircuit(0, 0.0, 0.0, 0.0, r_load_ohm=math.inf)
+
 # RK4 phase error, 2 Q_T (w dt)^4 / 120, that SimConfig.suggest's step allows
 _PHASE_BOUND_RAD = 1e-3
 
@@ -66,8 +71,13 @@ _BLOCK_STEPS = 4096
 
 # the most steps a run may take: simulate holds ~21 bytes per step, also when it
 # streams its trace (simulate --out), and ~41 when it returns a Trace, so ~0.42 GB
-# (0.82 GB); 3.5x the 5.66M steps SimConfig.suggest takes at Q_T = 1e4
+# (0.82 GB); 4.9x the 4.04M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
+
+
+def _settle_time(zeta_t: float, wn: float) -> float:
+    """_SETTLE_TIME_CONSTANTS damping time constants, in seconds."""
+    return _SETTLE_TIME_CONSTANTS / (zeta_t * wn)
 
 
 class SimulationNotSettled(RuntimeError):
@@ -132,9 +142,10 @@ class SimConfig:
         steps_per_period steps, or more where Q_T = 1/(2 zeta_t) needs them:
         n >= 2 pi (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120
         to 1e-3 rad (more than 64 steps above Q_T ~ 645).  The duration spans
-        14 damping time constants 1/(zeta_t*w_n), so the start-up transient is
-        below 1e-4 of steady state when the default measurement window opens,
-        with a 30-period floor for heavy damping.
+        _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n), so the
+        start-up transient is under _SETTLE_LIMIT / 10 of steady state when the
+        default measurement window opens, with a 30-period floor for heavy
+        damping.  c=None reads no electrical damping, as an open circuit does.
         """
         if not _MIN_STEPS_PER_PERIOD <= steps_per_period < math.inf:
             raise ValueError(
@@ -142,17 +153,13 @@ class SimConfig:
                 f"got {steps_per_period}"
             )
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
-        wn = natural_frequency(g)
-        zeta_t = g.zeta_parasitic if c is None else total_damping(g, c, omega_rad_per_s)[2]
+        wn, *_, zeta_t = _damping_terms(g, _NO_COIL if c is None else c, omega_rad_per_s)
         if not zeta_t > 0.0:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
         # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
         n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
         dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(steps_per_period, n_q)
-        duration = max(
-            14.0 / (zeta_t * wn),
-            30.0 * 2.0 * math.pi / omega_rad_per_s,
-        )
+        duration = max(_settle_time(zeta_t, wn), 30.0 * 2.0 * math.pi / omega_rad_per_s)
         if duration / dt > _MAX_STEPS:
             raise ValueError(
                 f"the suggested run for Q_T={0.5 / zeta_t:.6g} takes {duration / dt:.0f} "
@@ -422,10 +429,10 @@ def simulate(
             f"total damping ratio must be in (0, 1), got {zeta_t}; model and sweep cover >= 1"
         )
     q_t = 1.0 / (2.0 * zeta_t)
-    if q_t > 200.0 and cfg.duration_s < 10.0 * (2.0 * q_t / wn):
+    if q_t > 200.0 and cfg.duration_s < _settle_time(zeta_t, wn):
         warnings.warn(
             f"run of {cfg.duration_s:.3g} s is shorter than the "
-            f"{10.0 * 2.0 * q_t / wn:.3g} s settling guideline for Q_T={q_t:.0f}",
+            f"{_settle_time(zeta_t, wn):.3g} s settling guideline for Q_T={q_t:.0f}",
             stacklevel=2,
         )
 

@@ -78,10 +78,13 @@ class TestSimConfig:
             assert cfg.dt_s <= 2.0 * math.pi / natural_frequency(g) / 50.0
 
     def test_suggest_duration_covers_settling(self):
+        # 10 damping time constants of the zeta_t simulate reads on this run,
+        # which is over the 30-period floor at Q_T = 217
         g = make_gen(zeta_p=0.0023)
         wn = natural_frequency(g)
         cfg = SimConfig.suggest(g, None, wn)
-        assert cfg.duration_s >= 10.0 / (0.0023 * wn)
+        zeta_t = total_damping(g, dead_coil(), wn)[2]
+        assert cfg.duration_s == 10.0 / (zeta_t * wn) > 30.0 * 2.0 * math.pi / wn
 
     def test_suggest_rejects_undamped(self):
         g = make_gen(zeta_p=0.0)
@@ -112,13 +115,13 @@ class TestSimConfig:
                 SimConfig.suggest(make_gen(), None, 100.0, steps_per_period=steps)
 
     def test_suggest_names_its_own_ceiling(self):
-        # constructed only: Q_T = 2.7e4 at 100 Hz fits, 2.8e4 does not
+        # constructed only: Q_T = 3.5e4 at 100 Hz fits, 3.6e4 does not
         wn = 2.0 * math.pi * 100.0
-        assert SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 2.7e4), None, wn).n_steps == 19_612_345
-        with pytest.raises(ValueError, match=r"^the suggested run for Q_T=28000 takes 20588283 "
+        assert SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.5e4), None, wn).n_steps == 19_385_072
+        with pytest.raises(ValueError, match=r"^the suggested run for Q_T=36000 takes 20053523 "
                                              r"steps, over the 20000000-step ceiling; "
                                              r"set dt_s and duration_s in the catalog$"):
-            SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 2.8e4), None, wn)
+            SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.6e4), None, wn)
 
     # constructed only: a run this long would hold ~21 bytes per step (~41 with a trace)
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
@@ -641,6 +644,76 @@ def test_settle_limit_is_the_transient_at_the_window_start(tmp_path, capsys):
         assert ("settle limit" in err) == (code == 4)
 
 
+def q_design(q_t, loaded, wn=2.0 * math.pi * 100.0):
+    """A generator and circuit with total damping 1/(2 q_t): parasitic damping
+    alone on an open circuit, or half of it electrical on a 50 + 50 ohm circuit."""
+    mass, zeta_t = 1e-3, 0.5 / q_t
+    c_e = 2.0 * mass * wn * zeta_t / 2.0 if loaded else 0.0
+    c = CoilCircuit(1, math.sqrt(c_e * 100.0), 1.0, 50.0,
+                    r_load_ohm=50.0 if loaded else math.inf)
+    return make_gen(mass, wn, zeta_t / 2.0 if loaded else zeta_t), c
+
+
+class RK4Stop(Exception):
+    """Raised in place of the RK4 run, after simulate's checks of its arguments."""
+
+
+@pytest.mark.filterwarnings("error")
+def test_suggested_runs_do_not_warn(monkeypatch):
+    # simulate's Q_T > 200 guideline and suggest's duration read the same
+    # zeta_t and w_n through the same expression, so no suggested run is short
+    # of it.  Runs up to Q_T = 2e4 would take millions of steps, so simulate
+    # stops where _rk4 would start, after the guideline's check
+    def stop(*args):
+        raise RK4Stop
+
+    monkeypatch.setattr(sim, "_rk4", stop)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        q_t = 10.0 ** rng.uniform(math.log10(200.0), math.log10(2e4))
+        loaded = bool(rng.integers(2))
+        g, c = q_design(q_t, loaded, 2.0 * math.pi * 10.0 ** rng.uniform(1, 4))
+        wn = natural_frequency(g)
+        w = wn * rng.uniform(0.5, 2.0)
+        assert 200.0 < 0.5 / total_damping(g, c, w)[2] <= 2e4 * (1.0 + 1e-12)
+        # suggest without a circuit reads no electrical damping, as an open
+        # circuit or an uncoupled one does
+        pairs = [(c, c)] if loaded else [(c, c), (None, c), (None, dead_coil())]
+        for circuit, run_circuit in pairs:
+            cfg = SimConfig.suggest(g, circuit, w)
+            with pytest.raises(RK4Stop):
+                simulate(g, run_circuit, Excitation(1e-6, w), cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_suggested_runs_settle_with_margin(monkeypatch):
+    # 10 damping time constants leave at most _SETTLE_LIMIT / 10 of the amplitude
+    # at the default window start: the settle figure simulate tests, from _rk4's
+    # named sample at i0 (6.8e-4 at worst, at Q_T = 30 and w / w_n = 2, where
+    # the 30-period floor does not apply)
+    runs = []
+
+    def recording(*args):
+        out = _rk4(*args)
+        runs.append((args[-1][0], out))
+        return out
+
+    monkeypatch.setattr(sim, "_rk4", recording)
+    worst = 0.0
+    for q_t, loaded, ratio in itertools.product((30.0, 100.0, 300.0, 1000.0, 3000.0),
+                                                (True, False), np.linspace(0.5, 2.0, 13)):
+        g, c = q_design(q_t, loaded)
+        wn = natural_frequency(g)
+        s = simulate(g, c, Excitation(1e-6, ratio * wn), SimConfig.suggest(g, c, ratio * wn))
+        i0, (((z_i0, q0), _), v, _, step, _) = runs.pop()
+        x_z, x_v = step[5]
+        figure = math.hypot(z_i0 - (x_z * q0).imag, (v[i0] - (x_v * q0).imag) / wn) / abs(x_z)
+        assert figure <= sim._SETTLE_LIMIT / 10.0, (q_t, loaded, ratio)
+        assert s.energy_balance_residual < sim._ENERGY_RESIDUAL_LIMIT
+        worst = max(worst, figure)
+    assert worst > sim._SETTLE_LIMIT / 20.0  # the margin is the rule's, not a slack grid's
+
+
 def test_long_run_keeps_the_drive_phase():
     # 15,625 drive periods: a float phase w (s dt) at each block start is off
     # by up to ~1e-16 w t = 1.1e-11 rad, which a block holds for 4096 steps
@@ -994,9 +1067,9 @@ class TestFrequencySweep:
         # far too short to settle
         (0.0023, W_N, SimConfig(2e-5, 0.1, 0.5), SimulationNotSettled, "settle limit"),
         # SimConfig.suggest fails at the point: no run settles undamped, and
-        # Q_T = 3e4 takes 22,459,946 suggested steps
+        # Q_T = 4e4 takes 22,918,312 suggested steps
         (0.0, W_N, None, ValueError, "undamped run never settles"),
-        (0.5 / 3e4, W_N, None, ValueError, "over the 20000000-step ceiling"),
+        (0.5 / 4e4, W_N, None, ValueError, "over the 20000000-step ceiling"),
         # the point's drive fails: omega^2 leaves the float range
         (0.0023, 1e160, None, ValueError, r"omega_rad_per_s\*\*2 out of range"),
     ], ids=["not-settled", "undamped", "over-step-ceiling", "drive-out-of-range"])
