@@ -47,17 +47,20 @@ __all__ = [
     "frequency_sweep_sim",
 ]
 
-# resolution floor for the faster of the drive and natural periods
+# resolution floor for the faster of the drive and natural periods, and
+# SimConfig.suggest's resolution where Q_T asks for no more
 _MIN_STEPS_PER_PERIOD = 50
+_STEPS_PER_PERIOD = 64
 
 _ENERGY_RESIDUAL_LIMIT = 1e-3
 
-# the start-up transient left at the measurement window's start, relative to
-# the steady amplitude, above which a run has not settled
+# the start-up transient at the window start, sample int(_SETTLE_FRACTION * n_steps),
+# relative to the steady amplitude, above which a run has not settled
 _SETTLE_LIMIT = 1e-2
+_SETTLE_FRACTION = 0.8
 
 # damping time constants 1/(zeta_t w_n) in a suggested run and in simulate's Q_T > 200
-# guideline, both through _settle_time: at the default window start they leave at most
+# guideline, both through _settle_time: at the window start they leave at most
 # 6.8e-4 of |X_z| over Q_T 30-3000 and w/w_n 0.5-2, a x10 margin under _SETTLE_LIMIT
 _SETTLE_TIME_CONSTANTS = 10.0
 # suggest's circuit for c=None: no electrical damping, read as simulate reads an open circuit
@@ -95,16 +98,15 @@ class SweepPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integrator settings.
+    """Fixed-step integrator settings: the step and the run's length.
 
-    settle_fraction is the leading fraction of the run allowed to settle: the
-    measurement window opens at sample int(settle_fraction * n_steps), where
-    simulate requires the start-up transient to be under 1% of the response.
+    The leading 80% of the run is allowed to settle: the measurement window
+    opens at sample int(0.8 * n_steps) (_SETTLE_FRACTION), where simulate
+    requires the start-up transient to be under 1% of the response.
     """
 
     dt_s: float
     duration_s: float
-    settle_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         _check_magnitudes((("dt_s", self.dt_s), ("duration_s", self.duration_s)))
@@ -112,10 +114,6 @@ class SimConfig:
             raise ValueError(
                 f"duration_s must exceed 10*dt_s; got "
                 f"duration_s={self.duration_s} with dt_s={self.dt_s}"
-            )
-        if not 0.0 <= self.settle_fraction < 1.0:
-            raise ValueError(
-                f"settle_fraction must be in [0, 1), got {self.settle_fraction}"
             )
         if self.duration_s / self.dt_s > _MAX_STEPS:
             raise ValueError(
@@ -134,31 +132,25 @@ class SimConfig:
         g: GeneratorParams,
         c: CoilCircuit | None,
         omega_rad_per_s: float,
-        steps_per_period: int = 64,
     ) -> "SimConfig":
         """Pick a step and duration suited to the device and drive frequency.
 
         The step resolves the faster of the drive and natural periods with
-        steps_per_period steps, or more where Q_T = 1/(2 zeta_t) needs them:
+        64 steps (_STEPS_PER_PERIOD), or more where Q_T = 1/(2 zeta_t) needs them:
         n >= 2 pi (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120
         to 1e-3 rad (more than 64 steps above Q_T ~ 645).  The duration spans
         _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n), so the
         start-up transient is under _SETTLE_LIMIT / 10 of steady state when the
-        default measurement window opens, with a 30-period floor for heavy
+        measurement window opens, with a 30-period floor for heavy
         damping.  c=None reads no electrical damping, as an open circuit does.
         """
-        if not _MIN_STEPS_PER_PERIOD <= steps_per_period < math.inf:
-            raise ValueError(
-                f"steps_per_period must be >= {_MIN_STEPS_PER_PERIOD} and finite, "
-                f"got {steps_per_period}"
-            )
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
         wn, *_, zeta_t = _damping_terms(g, _NO_COIL if c is None else c, omega_rad_per_s)
         if not zeta_t > 0.0:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
         # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
         n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
-        dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(steps_per_period, n_q)
+        dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(_STEPS_PER_PERIOD, n_q)
         duration = max(_settle_time(zeta_t, wn), 30.0 * 2.0 * math.pi / omega_rad_per_s)
         if duration / dt > _MAX_STEPS:
             raise ValueError(
@@ -305,7 +297,7 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
     """Fixed-step RK4 of z'' + two_zw z' + wn2 z = forcing sin(w t) from rest.
 
     Returns (named, z', drive, step, z_blocks): (z, its drive's phase q^s q^j)
-    at each of the increasing samples `at`; z' and the drive sin(w dt i) it was
+    at each of the increasing samples `at`, as a Python float and complex; z' and the drive sin(w dt i) it was
     integrated against at the n_samples samples i dt; the step map
     x_(i+1) = P x_i + Im(g q^i) it was evaluated from (_rk4_map's tuple); and a
     generator of z, one array per block, evaluated only as it is read.  From a
@@ -348,7 +340,7 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
         sin[start:start + m] = qs.imag
         x = (z0, buf[1, start])  # read before the write
         firsts.append((start, x, q))
-        named += [(_state(z_row, 0, x, q, s - start), qs[s - start])
+        named += [(float(_state(z_row, 0, x, q, s - start)), complex(qs[s - start]))
                   for s in at if start <= s < start + m]
         if start < n_samples - 1:
             buf[1, start:start + m + 1] = _state(v_row, 1, x, q, slice(None))
@@ -399,7 +391,7 @@ def simulate(
     orbit X of its RK4 step map (_rk4_map), the integrator's exact steady
     state: z_amp = |X_z|, phase = -arg X_z, and each power is its damper c
     times <z'^2> = |X_v|^2 / 2.  If the start-up transient at the window
-    start i0 = int(settle_fraction * n_steps),
+    start i0 = int(0.8 * n_steps) (_SETTLE_FRACTION),
     hypot(z - Im(X_z q^i0), (z' - Im(X_v q^i0)) / w_n), is over
     _SETTLE_LIMIT * |X_z|, SimulationNotSettled is raised.  The energy audit
     (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule
@@ -439,7 +431,7 @@ def simulate(
     n_steps = cfg.n_steps
     dt = cfg.dt_s
     forcing = e.amplitude_m * w * w  # base forcing per unit mass
-    i0 = int(cfg.settle_fraction * n_steps)
+    i0 = int(_SETTLE_FRACTION * n_steps)
     # z at i0 and the end, with q^i0 from the drive's own product
     ((z_i0, q0), (z_end, _)), v_arr, drive, step, z_blocks = _rk4(
         n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn, (i0, n_steps))
@@ -447,13 +439,13 @@ def simulate(
         del z_blocks  # and with it the tables, before the audit's buffers
     x_z, x_v = step[5]
     z_amp = abs(x_z)
-    transient = math.hypot(float(z_i0) - (x_z * q0).imag,
-                           (float(v_arr[i0]) - (x_v * q0).imag) / wn)
+    # in Python floats, a transient past the float range reads inf, with no numpy warning
+    transient = math.hypot(z_i0 - (x_z * q0).imag, (float(v_arr[i0]) - (x_v * q0).imag) / wn)
     if not transient <= _SETTLE_LIMIT * z_amp:  # a run at rest passes, a NaN fails
         raise SimulationNotSettled(
             f"start-up transient is {transient / z_amp if z_amp else math.inf:.3g} of the "
             f"amplitude when the measurement window opens, over the {_SETTLE_LIMIT} settle "
-            f"limit; increase duration_s or settle_fraction"
+            f"limit; increase duration_s"
         )
     # every loss is a damper on z', so each power is c * <z'^2> = c |X_v|^2 / 2;
     # v_rms is |X_v| / sqrt 2, not that mean's root, which underflows first
@@ -469,7 +461,7 @@ def simulate(
     w_in = float(simpson(drive, dx=dt))
     v2 = np.multiply(v_arr, v_arr, out=drive)
     w_diss = (c_p + c_e) * float(simpson(v2, dx=dt))
-    v_end, z_end = float(v_arr[-1]), float(z_end)
+    v_end = float(v_arr[-1])
     e_mech = 0.5 * g.mass_kg * (v_end * v_end) + 0.5 * g.stiffness_n_per_m * (z_end * z_end)
     scale = max(abs(w_in), w_diss + abs(e_mech))
     residual = abs(w_in - w_diss - e_mech) / scale if scale > 0.0 else 0.0
@@ -503,10 +495,9 @@ def frequency_sweep_sim(
     omegas: Iterable[float] | Sequence[float],
     accel_m_s2: float,
     cfg: SimConfig | None = None,
-    convention: str = "peak",
     open_circuit: bool = False,
 ) -> list[tuple[float, TraceSummary]]:
-    """Run one simulation per drive frequency at fixed base acceleration.
+    """Run one simulation per drive frequency at fixed peak base acceleration.
 
     Open-circuit mode disconnects the load (no electrical damping, no load
     power) while still reporting the induced EMF.  With cfg=None each point
@@ -521,7 +512,7 @@ def frequency_sweep_sim(
     out: list[tuple[float, TraceSummary]] = []
     for omega in omega_list:
         try:
-            exc = Excitation.from_acceleration(accel_m_s2, omega, convention)
+            exc = Excitation.from_acceleration(accel_m_s2, omega)
             point_cfg = cfg if cfg is not None else SimConfig.suggest(g, circuit, omega)
             out.append((omega, simulate(g, circuit, exc, point_cfg)))
         except (ValueError, SimulationNotSettled) as err:

@@ -2,6 +2,12 @@
 criterion at the end of the run, so the gate status survives output capture."""
 
 import pytest
+from _pytest.python_api import ApproxScalar
+
+# approx applies only the tolerance it states: by default it also adds an
+# absolute 1e-12, which passes a small expected value at any stated rel
+assert hasattr(ApproxScalar, "DEFAULT_ABSOLUTE_TOLERANCE")
+ApproxScalar.DEFAULT_ABSOLUTE_TOLERANCE = 0.0
 
 _RESULTS = {}
 

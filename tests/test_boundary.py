@@ -181,8 +181,8 @@ CASES = {
     ),
     "SimConfig": (
         SimConfig,
-        dict(dt_s=1e-4, duration_s=1.0, settle_fraction=0.8),
-        ("dt_s", "duration_s", "settle_fraction"),
+        dict(dt_s=1e-4, duration_s=1.0),
+        ("dt_s", "duration_s"),
     ),
     "SimConfig.suggest": (
         lambda **kw: SimConfig.suggest(G, C, **kw),

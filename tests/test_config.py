@@ -178,18 +178,26 @@ r_load_ohm = 20
          ("generator = unit", "generator = unit\nmass_kg = 2e-3", "scenario.run", "mass_kg"),
          ("freq_points = 5", "freq_points = 5\nsettle_fraction = 0.5", "scenario.run",
           "settle_fraction"),
+         # beside a full sim pair: the window start is sim._SETTLE_FRACTION, not a key
+         ("freq_points = 5", "freq_points = 5\ndt_s = 1e-4\nduration_s = 0.5\n"
+          "settle_fraction = 0.8", "scenario.run", "settle_fraction"),
          ("freq_start = 100\nfreq_stop = 140\nfreq_points = 5", "freq_scale = log",
           "scenario.run", "freq_scale")],
         ids=["misspelled-generator-key", "misspelled-material-key", "device-extra-key",
              "misspelled-scenario-key", "inline-key-beside-reference", "sim-key-without-sim",
-             "scale-without-range"],
+             "retired-sim-key", "scale-without-range"],
     )
-    def test_unread_key_names_section_and_key(self, tmp_path, old, new, section, key):
+    def test_unread_key_names_section_and_key(self, tmp_path, capsys, old, new, section, key):
         text = MINIMAL.replace(old, new)
         assert text != MINIMAL
         message = rf"\[{section}\] unknown or unused key\(s\): {key}$"
+        path = write(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
-            load_catalog(write(tmp_path, text))
+            load_catalog(path)
+        assert main(["simulate", "--config", path, "--scenario", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [{section}] unknown or unused key(s): {key}\n"
 
     @pytest.mark.parametrize(
         "old, new, match",
@@ -320,7 +328,7 @@ EVERY_FIELD = {
         "generator": "unit", "accel_m_s2": "2.0", "accel_tag": "rms", "freq_hz": "120",
         "freq_start": "100", "freq_stop": "140", "freq_points": "5", "freq_scale": "log",
         "load_start": "10", "load_stop": "1000", "load_points": "3", "load_scale": "linear",
-        "dt_s": "1e-4", "duration_s": "0.5", "settle_fraction": "0.5",
+        "dt_s": "1e-4", "duration_s": "0.5",
     },
 }
 
@@ -339,7 +347,7 @@ EXPECTED = Catalog(
         "run", GENERATOR, 2.0, "rms", 120.0,
         freq_sweep=SweepRange(100.0, 140.0, 5, "log"),
         load_sweep=SweepRange(10.0, 1000.0, 3, "linear"),
-        sim=SimConfig(1e-4, 0.5, settle_fraction=0.5),
+        sim=SimConfig(1e-4, 0.5),
     )},
 )
 
@@ -389,7 +397,6 @@ class TestEveryField:
         ("device.widget", "notes", lambda cat: cat.devices["widget"]),
         ("generator.unit", "displacement_limit_m", lambda cat: cat.generators["unit"].params),
         ("generator.unit", "l_coil_h", lambda cat: cat.generators["unit"].circuit),
-        ("scenario.run", "settle_fraction", lambda cat: cat.scenarios["run"].sim),
     ])
     def test_optional_key_takes_the_dataclass_default(self, tmp_path, section, key, holder):
         got, expected = holder(catalog_without(tmp_path, section, key)), holder(EXPECTED)

@@ -430,6 +430,12 @@ class TestLoadPowerCoherence:
         best = max_avg_load_power(g, zeta_p, e, r_coil, r_opt)
         assert delivered == pytest.approx(best, rel=1e-9)
 
+    def test_approx_holds_only_its_stated_tolerance(self):
+        # conftest.py zeroes approx's default absolute 1e-12, which alone would pass
+        # the ~1.9e-11 W comparison above at any relative error under ~5%
+        assert 1.86e-11 * (1.0 + 1e-8) != pytest.approx(1.86e-11, rel=1e-9)
+        assert 1e-13 != pytest.approx(0.0)
+
 
 class TestComposeQFactors:
     def test_measured_decomposition(self):

@@ -4,11 +4,14 @@ documented exit code, never into a traceback; the closed-form response
 keeps its power ordering, Y^2 scaling and agreement with its parts, and
 reproduces the Q composition, load optimum and half-power Q."""
 
+import contextlib
+import io
 import math
 import os
 import tempfile
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +50,8 @@ NOMINAL = {
     "scenario.s": {
         "accel_m_s2": 2.0,
         "freq_hz": 120.0,
+        "freq_start": 100.0,
+        "freq_stop": 140.0,
         "load_start": 10.0,
         "load_stop": 1000.0,
     },
@@ -64,16 +69,21 @@ NOMINAL = {
         "density_kg_m3": 7800.0,
     },
 }
+# a fixed 5000-step run, so that simulate never asks SimConfig.suggest for millions
 FIXED = {
     "generator.g": "turns = 100\n",
-    "scenario.s": "generator = g\nload_points = 5\n",
+    "scenario.s": "generator = g\nfreq_points = 5\nload_points = 5\ndt_s = 1e-4\n"
+                  "duration_s = 0.5\n",
 }
 EDGES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300]
 KEYS = [(section, key) for section, keys in NOMINAL.items() for key in keys]
 
 # a few keys at a time leave the edge value, the rest stay nominal, so most
-# catalogs load and the edge values reach the model, sweep and compare code
+# catalogs load and the edge values reach the model, sweep, simulate and compare code
 EDITS = st.dictionaries(st.sampled_from(KEYS), st.sampled_from(EDGES), max_size=3)
+COMMANDS = [["model", "--scenario", "s"], ["sweep", "--kind", "load", "--scenario", "s"],
+            ["sweep", "--kind", "frequency", "--scenario", "s"], ["compare"],
+            ["simulate", "--scenario", "s"]]
 
 
 def _ini(edits):
@@ -86,23 +96,27 @@ def _ini(edits):
     return "\n".join(parts)
 
 
+@pytest.mark.filterwarnings("ignore:run of .* settling guideline:UserWarning")
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(EDITS)
 def test_cli_exit_codes_on_edge_values(edits):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "catalog.ini")
-        out = os.path.join(tmp, "out.txt")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(_ini(edits))
-        for argv in (["model", "--scenario", "s"],
-                     ["sweep", "--kind", "load", "--scenario", "s"],
-                     ["compare"]):
-            code = main(argv + ["--config", cfg, "--out", out])
-            assert code in (0, 2, 3)
-            if code == 0:
-                with open(out, encoding="utf-8") as fh:
-                    text = fh.read()
-                assert "nan" not in text and "inf" not in text
+        for i, argv in enumerate(COMMANDS):
+            cfg, out = os.path.join(tmp, f"catalog{i}.ini"), os.path.join(tmp, f"out{i}.txt")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                # simulate models no coil inductance on a closed circuit: its
+                # catalog has none unless the edits set one
+                fh.write(_ini({("generator.g", "l_coil_h"): 0.0, **edits}
+                              if argv[0] == "simulate" else edits))
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main(argv + ["--config", cfg, "--out", out])
+            assert code in ((0, 2, 3, 4) if argv[0] == "simulate" else (0, 2, 3)), argv
+            if code:
+                assert stdout.getvalue() == "" and not os.path.exists(out), argv
+                continue
+            with open(out, encoding="utf-8") as fh:
+                text = fh.read() + stdout.getvalue()
+            assert "nan" not in text and "inf" not in text, argv
 
 
 # a valid catalog as (section, [(key, value), ...]); the fuzz edits it
@@ -126,7 +140,7 @@ KNOWN_KEYS = sorted(
     {key for _, lines in VALID for key, _ in lines}
     | {"flux_density_t", "r_coil_ohm", "displacement_limit_m", "l_coil_h", "accel_tag",
        "load_start", "load_stop", "load_points", "load_scale", "freq_scale",
-       "settle_fraction"}
+       "settle_fraction"}  # read by no section: the window start is a constant
 )
 MISSPELL = [lambda k: k[:-1], lambda k: k.replace("_", "", 1), lambda k: k + "s"]
 FUZZ_VALUES = st.sampled_from(
