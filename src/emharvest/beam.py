@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import _check_increasing, _check_magnitudes
+from .model import _check_increasing, _check_magnitudes, _pow
 
 __all__ = [
     "MaterialProps",
@@ -70,21 +70,29 @@ class BeamSpec:
 
 def bending_stiffness(b: BeamSpec) -> float:
     """End-load stiffness 3*E*I/L^3 with I = w*t^3/12, N/m."""
-    inertia = b.width_m * b.thickness_m**3 / 12.0
-    return 3.0 * b.material.youngs_modulus_pa * inertia / b.length_m**3
+    inertia = b.width_m * _pow(b.thickness_m, 3) / 12.0
+    cube = _pow(b.length_m, 3)  # 0 below L ~ 1e-108: no float quotient, so out of range
+    k = 3.0 * b.material.youngs_modulus_pa * inertia / cube if cube > 0.0 else math.inf
+    if not 0.0 < k < math.inf:  # as m and f: from inputs > 0, a 0 is out of range too
+        _check_magnitudes((("bending_stiffness_n_per_m", k),))
+    return k
 
 
 def effective_mass(b: BeamSpec) -> float:
     """Tip mass plus the first-mode share (33/140) of the beam mass, kg."""
-    beam_mass = (
-        b.material.density_kg_m3 * b.length_m * b.width_m * b.thickness_m
-    )
-    return b.tip_mass_kg + _BEAM_MASS_FRACTION * beam_mass
+    beam_mass = b.material.density_kg_m3 * b.length_m * b.width_m * b.thickness_m
+    m = b.tip_mass_kg + _BEAM_MASS_FRACTION * beam_mass
+    if not 0.0 < m < math.inf:
+        _check_magnitudes((("effective_mass_kg", m),))
+    return m
 
 
 def resonant_frequency(b: BeamSpec) -> float:
     """First-mode natural frequency (1/2pi)*sqrt(k/m_eff), Hz."""
-    return math.sqrt(bending_stiffness(b) / effective_mass(b)) / (2.0 * math.pi)
+    f = math.sqrt(bending_stiffness(b) / effective_mass(b)) / (2.0 * math.pi)
+    if not 0.0 < f < math.inf:
+        _check_magnitudes((("resonant_frequency_hz", f),))
+    return f
 
 
 def frequency_table(

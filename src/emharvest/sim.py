@@ -21,7 +21,6 @@ the two routes can be used to check each other.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -35,6 +34,7 @@ from .model import (
     _check_increasing,
     _check_magnitudes,
     _damping_terms,
+    _pow,
 )
 
 __all__ = [
@@ -59,12 +59,10 @@ _ENERGY_RESIDUAL_LIMIT = 1e-3
 _SETTLE_LIMIT = 1e-2
 _SETTLE_FRACTION = 0.8
 
-# damping time constants 1/(zeta_t w_n) in a suggested run and in simulate's Q_T > 200
-# guideline, both through _settle_time: at the window start they leave at most
-# 6.8e-4 of |X_z| over Q_T 30-3000 and w/w_n 0.5-2, a x10 margin under _SETTLE_LIMIT
+# damping time constants 1/(zeta_t w_n) in a suggested run: at the window start they
+# leave at most 6.8e-4 of |X_z| over Q_T 30-3000 and w/w_n 0.5-2, a x10 margin under
+# _SETTLE_LIMIT; the settle test, not this count, judges every run
 _SETTLE_TIME_CONSTANTS = 10.0
-# suggest's circuit for c=None: no electrical damping, read as simulate reads an open circuit
-_NO_COIL = CoilCircuit(0, 0.0, 0.0, 0.0, r_load_ohm=math.inf)
 
 # RK4 phase error, 2 Q_T (w dt)^4 / 120, that SimConfig.suggest's step allows
 _PHASE_BOUND_RAD = 1e-3
@@ -76,11 +74,6 @@ _BLOCK_STEPS = 4096
 # streams its trace (simulate --out), and ~41 when it returns a Trace, so ~0.42 GB
 # (0.82 GB); 4.9x the 4.04M steps SimConfig.suggest takes at Q_T = 1e4
 _MAX_STEPS = 20_000_000
-
-
-def _settle_time(zeta_t: float, wn: float) -> float:
-    """_SETTLE_TIME_CONSTANTS damping time constants, in seconds."""
-    return _SETTLE_TIME_CONSTANTS / (zeta_t * wn)
 
 
 class SimulationNotSettled(RuntimeError):
@@ -130,7 +123,7 @@ class SimConfig:
     def suggest(
         cls,
         g: GeneratorParams,
-        c: CoilCircuit | None,
+        c: CoilCircuit,
         omega_rad_per_s: float,
     ) -> "SimConfig":
         """Pick a step and duration suited to the device and drive frequency.
@@ -141,17 +134,17 @@ class SimConfig:
         to 1e-3 rad (more than 64 steps above Q_T ~ 645).  The duration spans
         _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n), so the
         start-up transient is under _SETTLE_LIMIT / 10 of steady state when the
-        measurement window opens, with a 30-period floor for heavy
-        damping.  c=None reads no electrical damping, as an open circuit does.
+        measurement window opens, with a 30-period floor for heavy damping.
         """
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
-        wn, *_, zeta_t = _damping_terms(g, _NO_COIL if c is None else c, omega_rad_per_s)
+        wn, *_, zeta_t = _damping_terms(g, c, omega_rad_per_s)
         if not zeta_t > 0.0:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
         # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
         n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
         dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(_STEPS_PER_PERIOD, n_q)
-        duration = max(_settle_time(zeta_t, wn), 30.0 * 2.0 * math.pi / omega_rad_per_s)
+        duration = max(_SETTLE_TIME_CONSTANTS / (zeta_t * wn),
+                       30.0 * 2.0 * math.pi / omega_rad_per_s)
         if duration / dt > _MAX_STEPS:
             raise ValueError(
                 f"the suggested run for Q_T={0.5 / zeta_t:.6g} takes {duration / dt:.0f} "
@@ -393,11 +386,12 @@ def simulate(
     times <z'^2> = |X_v|^2 / 2.  If the start-up transient at the window
     start i0 = int(0.8 * n_steps) (_SETTLE_FRACTION),
     hypot(z - Im(X_z q^i0), (z' - Im(X_v q^i0)) / w_n), is over
-    _SETTLE_LIMIT * |X_z|, SimulationNotSettled is raised.  The energy audit
-    (work m Y w^2 sin(w t) z' against heat (c_p + c_e) z'^2, Simpson's rule
-    over the run, with the drive _rk4 integrated against; a residual >= 1e-3
-    raises ValueError) checks the run before any of its trace is formed.  A
-    zero drive takes this path too: X = 0, so it settles and reads 0, phase too.
+    _SETTLE_LIMIT * |X_z|, SimulationNotSettled is raised: that test is the
+    one rule on a run's length.  The energy audit (work m Y w^2 sin(w t) z'
+    against heat (c_p + c_e) z'^2, Simpson's rule over the run, with the
+    drive _rk4 integrated against; a residual >= 1e-3 raises ValueError)
+    checks the run before any of its trace is formed.  A zero drive takes
+    this path too: X = 0, so it settles and reads 0, phase too.
 
     Only underdamped designs run (zeta_T < 1, else ValueError): the settle
     test measures a ringing transient, and suggest's run assumes one;
@@ -419,13 +413,6 @@ def simulate(
     if not 0.0 < zeta_t < 1.0:
         raise ValueError(
             f"total damping ratio must be in (0, 1), got {zeta_t}; model and sweep cover >= 1"
-        )
-    q_t = 1.0 / (2.0 * zeta_t)
-    if q_t > 200.0 and cfg.duration_s < _settle_time(zeta_t, wn):
-        warnings.warn(
-            f"run of {cfg.duration_s:.3g} s is shorter than the "
-            f"{_settle_time(zeta_t, wn):.3g} s settling guideline for Q_T={q_t:.0f}",
-            stacklevel=2,
         )
 
     n_steps = cfg.n_steps
@@ -449,10 +436,14 @@ def simulate(
         )
     # every loss is a damper on z', so each power is c * <z'^2> = c |X_v|^2 / 2;
     # v_rms is |X_v| / sqrt 2, not that mean's root, which underflows first
-    ms = 0.5 * abs(x_v) ** 2
+    ms = 0.5 * _pow(abs(x_v), 2)
     v_rms = abs(x_v) / math.sqrt(2.0)
     # load power is share * emf^2: R_load / |Z|^2 (L = 0 here), none on the open circuit
     share = 0.0 if math.isinf(c.r_load_ohm) else c.r_load_ohm / (z_mag * z_mag)
+    p_load, p_parasitic = coupling * coupling * share * ms, c_p * ms
+    if not (p_load < math.inf and p_parasitic < math.inf):  # named before the audit overflows
+        _check_magnitudes(nonnegative=(("p_load_avg_w", p_load),
+                                       ("p_parasitic_avg_w", p_parasitic)))
 
     # bookkeeping over the whole trace, including the transient; the work is
     # integrated in the drive's buffer, which then takes z'^2
@@ -475,8 +466,8 @@ def simulate(
         z_amp_m=z_amp,
         v_rel_rms_m_per_s=v_rms,
         emf_rms_v=coupling * v_rms,
-        p_load_avg_w=coupling * coupling * share * ms,
-        p_parasitic_avg_w=c_p * ms,
+        p_load_avg_w=p_load,
+        p_parasitic_avg_w=p_parasitic,
         energy_balance_residual=residual,
         phase_rad=math.atan2(-x_z.imag, x_z.real) if z_amp else 0.0,  # X = 0 reads -0 or pi
     )

@@ -324,13 +324,27 @@ class TestSimulateCommand:
         expected = _reference_csv(names, [t, *np.zeros((4, 8194))])
         assert out.read_bytes() == expected.encode("utf-8")
 
-    @pytest.mark.filterwarnings("ignore:run of")
     def test_unsettled_run_exits_4(self, tmp_path, capsys):
         path = tmp_path / "rushed.ini"
         path.write_text(RUSHED)
         code = main(["simulate", "--config", str(path), "--scenario", "rushed"])
         assert code == 4
         assert "settle" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_past_the_float_range_exits_3_naming_it(self, tmp_path, capsys):
+        # accel_m_s2 = 1e300 settles, but |X_v|^2 / 2 leaves the float range: the
+        # summary's power is named before the energy audit's squares overflow
+        text = BENCH.replace("accel_m_s2 = 2.0\nfreq_hz = 120\ndt_s",
+                             "accel_m_s2 = 1e300\nfreq_hz = 120\ndt_s")
+        cfg = bench_config(tmp_path, text)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--scenario", "bench_run",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p_load_avg_w must be >= 0 and finite, got inf\n"
+        assert not out.exists()
 
     def test_coil_inductance_exits_3(self, tmp_path, capsys):
         text = BENCH.replace("r_load_ohm = 150", "r_load_ohm = 150\nl_coil_h = 1e-3")
@@ -506,12 +520,36 @@ class TestBeamCommand:
         assert main(argv) == 3
 
     def test_length_out_of_float_range_exits_3(self, capsys):
+        # L^3 overflows, so the stiffness's true value is under the float range
         argv = list(self.ARGS)
         argv[argv.index("5e-3")] = "1e103"
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: value out of floating-point range: ")
+        assert captured.err == "error: bending_stiffness_n_per_m must be > 0 and finite, got 0.0\n"
+
+    @pytest.mark.parametrize("length, width, tip_mass, thickness, name, value", [
+        # inf / inf: the frequency read nan
+        ("1", "1e300", "1e-3", "1e100", "bending_stiffness_n_per_m", "inf"),
+        # L^3 raised OverflowError, which named nothing
+        ("1e120", "1e-3", "1e-3", "1e-4", "bending_stiffness_n_per_m", "0.0"),
+        # L^3 underflows to 0: the quotient raised ZeroDivisionError
+        ("1e-300", "1e-3", "1e-3", "1e-4", "bending_stiffness_n_per_m", "inf"),
+        # finite / inf: the frequency read 0
+        ("1e100", "1e300", "1e-3", "1e-100", "effective_mass_kg", "inf"),
+        # k / m overflows: the frequency read inf
+        ("1e-100", "1e-3", "1e-300", "1e-3", "resonant_frequency_hz", "inf"),
+    ], ids=["stiffness-over", "stiffness-under", "cube-under", "mass-over", "frequency-over"])
+    def test_result_out_of_float_range_exits_3_naming_it(self, tmp_path, capsys, length, width,
+                                                         tip_mass, thickness, name, value):
+        out = tmp_path / "beam.csv"
+        assert main(["beam", "--length", length, "--width", width, "--tip-mass", tip_mass,
+                     "--thicknesses", thickness, "--materials", "silicon",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be > 0 and finite, got {value}\n"
+        assert not out.exists()
 
 
 class TestCompareCommand:

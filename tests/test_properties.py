@@ -12,7 +12,7 @@ import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emharvest.analysis import SweepCurve, extract_q_half_power
@@ -96,7 +96,6 @@ def _ini(edits):
     return "\n".join(parts)
 
 
-@pytest.mark.filterwarnings("ignore:run of .* settling guideline:UserWarning")
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(EDITS)
 def test_cli_exit_codes_on_edge_values(edits):
@@ -117,6 +116,36 @@ def test_cli_exit_codes_on_edge_values(edits):
             with open(out, encoding="utf-8") as fh:
                 text = fh.read() + stdout.getvalue()
             assert "nan" not in text and "inf" not in text, argv
+
+
+# beam's numbers: a few leave their nominal value for an edge value or for 1e+-100,
+# whose cube is in the float range where its products with 1e+-300 are not
+BEAM = {"--length": 5e-3, "--width": 2e-3, "--tip-mass": 4.4e-4}
+BEAM_EDITS = st.dictionaries(st.sampled_from([*BEAM, "--thicknesses"]),
+                             st.sampled_from(EDGES + [1e-100, 1e100]), max_size=3)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(BEAM_EDITS, st.integers(0, 2))
+# the frequency of k = inf over m = inf once printed nan: too rare a draw to leave to the search
+@example({"--width": 1e300, "--thicknesses": 1e100}, 2)
+def test_beam_exit_codes_on_edge_values(edits, entry):
+    thicknesses = [50e-6, 100e-6, 150e-6]
+    if "--thicknesses" in edits:
+        thicknesses[entry] = edits["--thicknesses"]
+    argv = ["beam", *(f"{key}={edits.get(key, value)!r}" for key, value in BEAM.items()),
+            "--thicknesses=" + ",".join(map(repr, thicknesses))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(argv + ["--out", out])
+        assert code in (0, 2, 3), argv
+        if code:
+            assert stdout.getvalue() == "" and not os.path.exists(out), argv
+            return
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read() + stdout.getvalue()
+    assert "nan" not in text and "inf" not in text, argv
 
 
 # a valid catalog as (section, [(key, value), ...]); the fuzz edits it

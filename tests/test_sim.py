@@ -73,7 +73,7 @@ class TestSimConfig:
     def test_suggest_resolves_both_periods(self):
         g = make_gen(wn=2.0 * math.pi * 100.0)
         for w_drive in (2.0 * math.pi * 25.0, 2.0 * math.pi * 400.0):
-            cfg = SimConfig.suggest(g, None, w_drive)
+            cfg = SimConfig.suggest(g, dead_coil(), w_drive)
             assert cfg.dt_s <= 2.0 * math.pi / w_drive / 50.0
             assert cfg.dt_s <= 2.0 * math.pi / natural_frequency(g) / 50.0
 
@@ -82,21 +82,21 @@ class TestSimConfig:
         # which is over the 30-period floor at Q_T = 217
         g = make_gen(zeta_p=0.0023)
         wn = natural_frequency(g)
-        cfg = SimConfig.suggest(g, None, wn)
+        cfg = SimConfig.suggest(g, dead_coil(), wn)
         zeta_t = total_damping(g, dead_coil(), wn)[2]
         assert cfg.duration_s == 10.0 / (zeta_t * wn) > 30.0 * 2.0 * math.pi / wn
 
     def test_suggest_rejects_undamped(self):
         g = make_gen(zeta_p=0.0)
         with pytest.raises(ValueError, match="never settles"):
-            SimConfig.suggest(g, None, 100.0)
+            SimConfig.suggest(g, dead_coil(), 100.0)
 
     def test_suggest_holds_high_q_phase_within_bound(self):
         # Q_T = 1000: 64 steps per period left the phase 1.54e-3 rad off
         g = make_gen(zeta_p=5e-4)
         wn = natural_frequency(g)
         e = Excitation(1e-6, wn)
-        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, None, wn))
+        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, dead_coil(), wn))
         assert abs(s.phase_rad - evaluate_response(g, dead_coil(), e).phase_rad) < 1e-3
 
     @pytest.mark.parametrize("q_t, steps", [(100.0, 64), (640.0, 64), (1000.0, 72), (1e4, 127)])
@@ -105,18 +105,19 @@ class TestSimConfig:
         # own energy audit, so this is checked by arithmetic, without running it
         g = make_gen(zeta_p=1.0 / (2.0 * q_t))
         wn = natural_frequency(g)
-        cfg = SimConfig.suggest(g, None, wn)
+        cfg = SimConfig.suggest(g, dead_coil(), wn)
         assert round(2.0 * math.pi / wn / cfg.dt_s) == steps
         assert 2.0 * q_t * (wn * cfg.dt_s) ** 4 / 120.0 <= 1e-3
 
     def test_suggest_names_its_own_ceiling(self):
         # constructed only: Q_T = 3.5e4 at 100 Hz fits, 3.6e4 does not
         wn = 2.0 * math.pi * 100.0
-        assert SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.5e4), None, wn).n_steps == 19_385_072
+        fits = SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.5e4), dead_coil(), wn)
+        assert fits.n_steps == 19_385_072
         with pytest.raises(ValueError, match=r"^the suggested run for Q_T=36000 takes 20053523 "
                                              r"steps, over the 20000000-step ceiling; "
                                              r"set dt_s and duration_s in the catalog$"):
-            SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.6e4), None, wn)
+            SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.6e4), dead_coil(), wn)
 
     # constructed only: a run this long would hold ~21 bytes per step (~41 with a trace)
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
@@ -167,7 +168,7 @@ class TestSimulate:
         g = make_gen(zeta_p=0.05)
         wn = natural_frequency(g)
         e = Excitation(1e-6, wn)
-        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, None, wn))
+        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, dead_coil(), wn))
         assert s.z_amp_m == pytest.approx(1e-6 / (2.0 * 0.05), rel=5e-3)
         assert s.phase_rad == pytest.approx(math.pi / 2.0, abs=DEG)
 
@@ -175,7 +176,7 @@ class TestSimulate:
         g = make_gen(zeta_p=0.01)
         w = 0.5 * natural_frequency(g)
         e = Excitation(1e-6, w)
-        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, None, w))
+        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, dead_coil(), w))
         expect, _ = displacement_response(g, 0.01, e)
         assert s.z_amp_m == pytest.approx(expect, rel=5e-3)
 
@@ -238,7 +239,7 @@ class TestSimulate:
         g = make_gen(zeta_p=zeta)
         w = ratio * natural_frequency(g)
         e = Excitation(1e-6, w)
-        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, None, w))
+        s = simulate(g, dead_coil(), e, SimConfig.suggest(g, dead_coil(), w))
         amp, phase = displacement_response(g, zeta, e)
         assert s.z_amp_m == pytest.approx(amp, rel=5e-3)
         assert abs(s.phase_rad - phase) < DEG
@@ -246,7 +247,7 @@ class TestSimulate:
     def test_energy_balance_is_tight(self):
         g = make_gen(zeta_p=0.01)
         wn = natural_frequency(g)
-        s = simulate(g, dead_coil(), Excitation(1e-6, wn), SimConfig.suggest(g, None, wn))
+        s = simulate(g, dead_coil(), Excitation(1e-6, wn), SimConfig.suggest(g, dead_coil(), wn))
         assert s.energy_balance_residual < 1e-5
 
     def test_fourth_order_convergence(self):
@@ -278,13 +279,34 @@ class TestSimulate:
         with pytest.raises(SimulationNotSettled, match="transient is inf of the amplitude"):
             simulate(g, dead_coil(), e, SimConfig(1e-4, 0.5))
 
-    def test_high_q_short_run_warns_then_fails_to_settle(self):
+    def test_high_q_short_run_fails_to_settle(self):
         wn = 2.0 * math.pi * 350.0
         g = GeneratorParams(4.4e-4, 4.4e-4 * wn * wn, 0.0023)
         e = Excitation(6.2e-7, wn)
-        with pytest.warns(UserWarning, match="settling guideline"):
-            with pytest.raises(SimulationNotSettled, match="settle limit"):
-                simulate(g, dead_coil(), e, SimConfig(2e-5, 0.1))
+        with pytest.raises(SimulationNotSettled, match="settle limit"):
+            simulate(g, dead_coil(), e, SimConfig(2e-5, 0.1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_settle_test_alone_judges_a_high_q_run(self):
+        # Q_T = 217: a run of 6 to 9.9 damping time constants settles, silently,
+        # and reads the suggested 10-constant run's forced orbit, so every figure
+        # but the residual is the same bits; at 5 the window opens too early
+        wn = 2.0 * math.pi * 350.0
+        g, c = GeneratorParams(4.4e-4, 4.4e-4 * wn * wn, 0.0023), dead_coil()
+        e = Excitation(6.2e-7, wn)
+        cfg = SimConfig.suggest(g, c, wn)
+        assert cfg.duration_s == pytest.approx(10.0 / (0.0023 * wn), rel=1e-12)  # no floor
+
+        def figures(s):
+            return [getattr(s, f.name).hex() for f in fields(s)
+                    if f.name != "energy_balance_residual"]
+
+        ref = figures(simulate(g, c, e, cfg))
+        for constants in (6.0, 7.0, 9.9):
+            cut = SimConfig(cfg.dt_s, constants / 10.0 * cfg.duration_s)
+            assert figures(simulate(g, c, e, cut)) == ref, constants
+        with pytest.raises(SimulationNotSettled, match="settle limit"):
+            simulate(g, c, e, SimConfig(cfg.dt_s, 0.5 * cfg.duration_s))
 
     def test_coarse_step_rejected(self):
         g = make_gen()
@@ -658,37 +680,6 @@ def q_design(q_t, loaded, wn=2.0 * math.pi * 100.0):
     return make_gen(mass, wn, zeta_t / 2.0 if loaded else zeta_t), c
 
 
-class RK4Stop(Exception):
-    """Raised in place of the RK4 run, after simulate's checks of its arguments."""
-
-
-@pytest.mark.filterwarnings("error")
-def test_suggested_runs_do_not_warn(monkeypatch):
-    # simulate's Q_T > 200 guideline and suggest's duration read the same
-    # zeta_t and w_n through the same expression, so no suggested run is short
-    # of it.  Runs up to Q_T = 2e4 would take millions of steps, so simulate
-    # stops where _rk4 would start, after the guideline's check
-    def stop(*args):
-        raise RK4Stop
-
-    monkeypatch.setattr(sim, "_rk4", stop)
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        q_t = 10.0 ** rng.uniform(math.log10(200.0), math.log10(2e4))
-        loaded = bool(rng.integers(2))
-        g, c = q_design(q_t, loaded, 2.0 * math.pi * 10.0 ** rng.uniform(1, 4))
-        wn = natural_frequency(g)
-        w = wn * rng.uniform(0.5, 2.0)
-        assert 200.0 < 0.5 / total_damping(g, c, w)[2] <= 2e4 * (1.0 + 1e-12)
-        # suggest without a circuit reads no electrical damping, as an open
-        # circuit or an uncoupled one does
-        pairs = [(c, c)] if loaded else [(c, c), (None, c), (None, dead_coil())]
-        for circuit, run_circuit in pairs:
-            cfg = SimConfig.suggest(g, circuit, w)
-            with pytest.raises(RK4Stop):
-                simulate(g, run_circuit, Excitation(1e-6, w), cfg)
-
-
 @pytest.mark.filterwarnings("error")
 def test_suggested_runs_settle_with_margin(monkeypatch):
     # 10 damping time constants leave at most _SETTLE_LIMIT / 10 of the amplitude
@@ -785,7 +776,6 @@ def test_drive_keeps_the_exact_phase():
                                       ("cantilever_nominal", 2048)],
                          ids=["cantilever_nominal", "lateral_nominal",
                               "cantilever_nominal-i0=98304", "cantilever_nominal-i0=2048"])
-@pytest.mark.filterwarnings("ignore:run of .* settling guideline:UserWarning")
 def test_each_exact_phase_is_computed_once_per_run(monkeypatch, name, i0):
     # the integrator, the settle test, the audit and the trace, drained, share
     # one set of phases, with or without a trace
@@ -1034,7 +1024,7 @@ class TestFrequencySweep:
     def test_single_point_equals_simulate(self):
         g = make_gen(zeta_p=0.05)
         wn = natural_frequency(g)
-        cfg = SimConfig.suggest(g, None, wn)
+        cfg = SimConfig.suggest(g, dead_coil(), wn)
         [(w_out, s_sweep)] = frequency_sweep_sim(g, dead_coil(), [wn], 3.0, cfg)
         e = Excitation.from_acceleration(3.0, wn, "peak")
         s_direct = simulate(g, dead_coil(), e, cfg)
@@ -1086,9 +1076,8 @@ class TestFrequencySweep:
         assert err.value.omega_rad_per_s == omega
         assert type(err.value.cause) is cause
         assert err.value.__cause__ is err.value.cause
-        # only the short run is warned about, for its settling guideline
-        warned = [w for w in recwarn if issubclass(w.category, UserWarning)]
-        assert len(warned) == (0 if cfg is None else 1)
+        # a run's length is the settle test's alone to judge: nothing is warned about
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_half_power_q_round_trip(self):
         # open-circuit EMF sweep across the resonance of a Q=216 device,
