@@ -149,9 +149,7 @@ def _cmd_sweep(args: argparse.Namespace, catalog: Catalog) -> int:
     else:
         names = ("r_load_ohm", "p_load_w", "p_total_w")
         for r_load in rng.values():
-            circuit = CoilCircuit(c.turns, c.side_length_m, c.flux_density_t, c.r_coil_ohm,
-                                  c.l_coil_h, r_load)
-            rp = evaluate_response(g, circuit, e)
+            rp = evaluate_response(g, replace(c, r_load_ohm=r_load), e)
             rows.append((r_load, rp.p_load_w, rp.p_total_electrical_w))
     _emit_csv(names, [list(zip(*rows))], args.out)
     return 0

@@ -485,15 +485,14 @@ def frequency_sweep_sim(
     c: CoilCircuit,
     omegas: Iterable[float] | Sequence[float],
     accel_m_s2: float,
-    cfg: SimConfig | None = None,
+    *,
     open_circuit: bool = False,
 ) -> list[tuple[float, TraceSummary]]:
     """Run one simulation per drive frequency at fixed peak base acceleration.
 
-    Open-circuit mode disconnects the load (no electrical damping, no load
-    power) while still reporting the induced EMF.  With cfg=None each point
-    gets its own SimConfig.suggest, so lightly damped points are given the
-    longer runs they need.
+    Each point is sized by its own SimConfig.suggest and judged by simulate's
+    settle test; a failing point raises SweepPointError, carrying its omega.
+    open_circuit=True disconnects the load but still reports the induced EMF.
     """
     omega_list = [float(o) for o in omegas]
     if not omega_list:
@@ -504,8 +503,7 @@ def frequency_sweep_sim(
     for omega in omega_list:
         try:
             exc = Excitation.from_acceleration(accel_m_s2, omega)
-            point_cfg = cfg if cfg is not None else SimConfig.suggest(g, circuit, omega)
-            out.append((omega, simulate(g, circuit, exc, point_cfg)))
+            out.append((omega, simulate(g, circuit, exc, SimConfig.suggest(g, circuit, omega))))
         except (ValueError, SimulationNotSettled) as err:
             raise SweepPointError(omega, err) from err
     return out

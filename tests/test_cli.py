@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from emharvest import load_catalog, sim
+from emharvest import cli, load_catalog, sim
 from emharvest._csvrows import format_rows
 from emharvest.cli import _NUM, _emit_csv, main
 
@@ -601,6 +601,21 @@ def test_non_finite_command_line_number_exits_3(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+def test_arithmetic_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch):
+    # an OverflowError that no check names still exits 3, with nothing written
+    def overflow(*args):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(cli, "evaluate_response", overflow)
+    out = tmp_path / "report.txt"
+    assert main(["model", "--scenario", "cantilever_nominal", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: value out of floating-point range: "
+                            "(34, 'Numerical result out of range')\n")
+    assert not out.exists()
 
 
 OUT_COMMANDS = {

@@ -96,6 +96,24 @@ def _ini(edits):
     return "\n".join(parts)
 
 
+def _check_exit_rules(argv, out, codes=(0, 2, 3)):
+    """Run the CLI on argv with --out out: it exits with one of codes (an argparse
+    refusal, SystemExit(2), is exit 2); a failure prints nothing on stdout and
+    creates no out file; a success writes no nan or inf."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as err:
+            code = err.code
+    assert code in codes, argv
+    if code:
+        assert stdout.getvalue() == "" and not os.path.exists(out), argv
+        return
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read() + stdout.getvalue()
+    assert "nan" not in text and "inf" not in text, argv
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(EDITS)
 def test_cli_exit_codes_on_edge_values(edits):
@@ -107,15 +125,8 @@ def test_cli_exit_codes_on_edge_values(edits):
                 # catalog has none unless the edits set one
                 fh.write(_ini({("generator.g", "l_coil_h"): 0.0, **edits}
                               if argv[0] == "simulate" else edits))
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                code = main(argv + ["--config", cfg, "--out", out])
-            assert code in ((0, 2, 3, 4) if argv[0] == "simulate" else (0, 2, 3)), argv
-            if code:
-                assert stdout.getvalue() == "" and not os.path.exists(out), argv
-                continue
-            with open(out, encoding="utf-8") as fh:
-                text = fh.read() + stdout.getvalue()
-            assert "nan" not in text and "inf" not in text, argv
+            _check_exit_rules(argv + ["--config", cfg], out,
+                              (0, 2, 3, 4) if argv[0] == "simulate" else (0, 2, 3))
 
 
 # beam's numbers: a few leave their nominal value for an edge value or for 1e+-100,
@@ -136,16 +147,28 @@ def test_beam_exit_codes_on_edge_values(edits, entry):
     argv = ["beam", *(f"{key}={edits.get(key, value)!r}" for key, value in BEAM.items()),
             "--thicknesses=" + ",".join(map(repr, thicknesses))]
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = main(argv + ["--out", out])
-        assert code in (0, 2, 3), argv
-        if code:
-            assert stdout.getvalue() == "" and not os.path.exists(out), argv
-            return
-        with open(out, encoding="utf-8") as fh:
-            text = fh.read() + stdout.getvalue()
-    assert "nan" not in text and "inf" not in text, argv
+        _check_exit_rules(argv, os.path.join(tmp, "out.csv"))
+
+
+# raw argv text for a number option: empty, hex, negative zero, past the float range,
+# subnormal, padded and non-finite
+ARGV_EDGES = ["", "0x10", "-0", "1e400", "1e-320", " 3", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("raw", ARGV_EDGES, ids=repr)
+@pytest.mark.parametrize("option", [*BEAM, "--thicknesses", "--target-accel"])
+def test_number_options_on_edge_strings(option, raw):
+    # every text in every option, one at a time: --thicknesses takes it as its first
+    # entry, the one beam builds its base BeamSpec from
+    if option == "--target-accel":
+        argv = ["compare", f"--target-accel={raw}"]
+    else:
+        texts = {**{key: repr(value) for key, value in BEAM.items()},
+                 "--thicknesses": "50e-6,100e-6,150e-6"}
+        texts[option] = f"{raw},100e-6,150e-6" if option == "--thicknesses" else raw
+        argv = ["beam", *(f"{key}={text}" for key, text in texts.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_exit_rules(argv, os.path.join(tmp, "out.txt"))
 
 
 # a valid catalog as (section, [(key, value), ...]); the fuzz edits it

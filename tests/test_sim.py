@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import emharvest
 from emharvest import sim
-from emharvest.analysis import SweepCurve, extract_q_half_power
+from emharvest.analysis import SweepCurve, decompose_damping, extract_q_half_power
 from emharvest.cli import main
 from emharvest.model import (
     CoilCircuit,
@@ -1024,13 +1024,21 @@ class TestFrequencySweep:
     def test_single_point_equals_simulate(self):
         g = make_gen(zeta_p=0.05)
         wn = natural_frequency(g)
-        cfg = SimConfig.suggest(g, dead_coil(), wn)
-        [(w_out, s_sweep)] = frequency_sweep_sim(g, dead_coil(), [wn], 3.0, cfg)
+        [(w_out, s_sweep)] = frequency_sweep_sim(g, dead_coil(), [wn], 3.0)
         e = Excitation.from_acceleration(3.0, wn, "peak")
-        s_direct = simulate(g, dead_coil(), e, cfg)
+        s_direct = simulate(g, dead_coil(), e, SimConfig.suggest(g, dead_coil(), wn))
         assert w_out == wn
         assert s_sweep.z_amp_m == s_direct.z_amp_m
         assert s_sweep.phase_rad == s_direct.phase_rad
+
+    def test_open_circuit_is_keyword_only(self):
+        # a fifth positional argument is refused: bound to open_circuit, a truthy
+        # SimConfig would silently open the circuit
+        g = make_gen(zeta_p=0.05)
+        wn = natural_frequency(g)
+        for extra in (SimConfig.suggest(g, dead_coil(), wn), True):
+            with pytest.raises(TypeError):
+                frequency_sweep_sim(g, dead_coil(), [wn], 3.0, extra)
 
     def test_amplitude_rises_towards_resonance(self):
         g = make_gen(zeta_p=0.05)
@@ -1058,9 +1066,10 @@ class TestFrequencySweep:
 
     W_N = 2.0 * math.pi * 350.0
 
-    @pytest.mark.parametrize("zeta_p, omega, cfg, cause, message", [
-        # far too short to settle
-        (0.0023, W_N, SimConfig(2e-5, 0.1), SimulationNotSettled, "settle limit"),
+    @pytest.mark.parametrize("zeta_p, omega, time_constants, cause, message", [
+        # a suggested run of one damping time constant is far too short to settle:
+        # 0.449 of the amplitude is left when the window opens
+        (0.0023, W_N, 1.0, SimulationNotSettled, "0.449 of the amplitude"),
         # SimConfig.suggest fails at the point: no run settles undamped, and
         # Q_T = 4e4 takes 22,918,312 suggested steps
         (0.0, W_N, None, ValueError, "undamped run never settles"),
@@ -1068,11 +1077,13 @@ class TestFrequencySweep:
         # the point's drive fails: omega^2 leaves the float range
         (0.0023, 1e160, None, ValueError, r"omega_rad_per_s\*\*2 out of range"),
     ], ids=["not-settled", "undamped", "over-step-ceiling", "drive-out-of-range"])
-    def test_per_point_failure_carries_frequency(self, recwarn, zeta_p, omega, cfg, cause,
-                                                 message):
+    def test_per_point_failure_carries_frequency(self, recwarn, monkeypatch, zeta_p, omega,
+                                                 time_constants, cause, message):
+        if time_constants is not None:
+            monkeypatch.setattr(sim, "_SETTLE_TIME_CONSTANTS", time_constants)
         g = GeneratorParams(4.4e-4, 4.4e-4 * self.W_N * self.W_N, zeta_p)
         with pytest.raises(SweepPointError, match=message) as err:
-            frequency_sweep_sim(g, dead_coil(), [omega], 3.0, cfg)
+            frequency_sweep_sim(g, dead_coil(), [omega], 3.0)
         assert err.value.omega_rad_per_s == omega
         assert type(err.value.cause) is cause
         assert err.value.__cause__ is err.value.cause
@@ -1103,6 +1114,30 @@ class TestFrequencySweep:
         q, f_res = extract_q_half_power(curve)
         assert q == pytest.approx(216.0, rel=0.02)
         assert f_res == pytest.approx(350.0, rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
+    def test_measurement_procedure_on_simulated_sweeps(self, name):
+        # the paper's procedure (criteria 1 and 6) on the RK4 route, over the catalog's
+        # 81-point range: the loaded emf curve's half-power Q against 1/(2 zeta_T)
+        # (-0.53% cantilever, -0.05% lateral), and zeta_p from the loaded and
+        # open-circuit Qs (+0.48%, +0.05%); zeta_e, a small difference of two Qs
+        # (+2.27% cantilever), is not gated
+        scn = emharvest.load_catalog().scenario(name)
+        g, c = scn.generator.params, scn.generator.circuit
+        freqs = tuple(scn.freq_sweep.values())
+        omegas = [2.0 * math.pi * f for f in freqs]
+
+        def q_of(open_circuit):
+            points = frequency_sweep_sim(g, c, omegas, scn.accel_m_s2,
+                                         open_circuit=open_circuit)
+            emf = tuple(s.emf_rms_v for _, s in points)
+            return extract_q_half_power(SweepCurve(freqs, emf, "V", scn.accel_m_s2, "peak"))[0]
+
+        q_loaded, q_open = q_of(False), q_of(True)
+        zeta_t = total_damping(g, c, natural_frequency(g))[2]
+        assert q_loaded == pytest.approx(0.5 / zeta_t, rel=0.01)
+        assert decompose_damping(q_loaded, q_open).zeta_p == pytest.approx(
+            g.zeta_parasitic, rel=0.01)
 
 
 # loaded runs whose 25,000-sample measurement window is long enough for a
