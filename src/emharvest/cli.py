@@ -48,21 +48,21 @@ def _num(x: float) -> str:
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The --out file, opened for writing, or stdout."""
+    """The --out file, opened for writing, or stdout.  An OSError from the open, a
+    write or the close is a ConfigError; the path, perhaps a device, is never removed."""
     if out is None:
         yield sys.stdout
-    else:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as err:
-            raise ConfigError(f"--out: {err}") from err
-        with fh:
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    except OSError as err:
+        raise ConfigError(f"--out: {err}") from err
 
 
 def _check_out(out: str) -> None:
     """Refuse an --out path that no open can write, without opening it: the
-    file is neither created nor truncated.  _output maps what this misses."""
+    file is neither created nor truncated.  _output maps the rest: open, write, close."""
     if not out:
         raise ConfigError("--out: empty path")
     if os.path.isdir(out):
@@ -181,21 +181,19 @@ def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
 
 
 def _cmd_beam(args: argparse.Namespace, catalog: Catalog) -> int:
-    if args.materials:
-        names = [s.strip() for s in args.materials.split(",") if s.strip()]
-    else:
+    if args.materials is None:
         names = sorted(catalog.materials)
-    if not names:
-        raise ConfigError("no materials: --materials names none, or the catalog has none")
+    else:
+        names = [s.strip() for s in args.materials.split(",")]
+    mats = [_lookup("material", n, catalog.materials) for n in names]
+    if not mats:
+        raise ConfigError("no materials: the catalog has none")
     if repeated := sorted({n for n in names if names.count(n) > 1}):
         raise ConfigError("--materials: repeated name(s): " + ", ".join(repeated))
-    mats = [_lookup("material", n, catalog.materials) for n in names]
     try:
-        thicknesses = [float(s) for s in args.thicknesses.split(",") if s.strip()]
+        thicknesses = [float(s) for s in args.thicknesses.split(",")]
     except ValueError as err:
         raise ConfigError(f"--thicknesses: {err}") from err
-    if not thicknesses:
-        raise ConfigError("--thicknesses: empty list")
     base = BeamSpec(
         length_m=args.length,
         width_m=args.width,
@@ -284,10 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated beam thicknesses, m, strictly increasing",
     )
-    p_beam.add_argument(
-        "--materials",
-        help="comma-separated material names (default: all, name order)",
-    )
+    p_beam.add_argument("--materials", help="comma-separated material names (default when "
+                        "omitted: every catalog material, in name order)")
     p_beam.set_defaults(run=_cmd_beam)
 
     p_cmp = sub.add_parser(

@@ -498,6 +498,7 @@ def frequency_sweep_sim(
     if not omega_list:
         raise ValueError("omegas must be non-empty")
     _check_increasing("omegas", omega_list)
+    _check_magnitudes(nonnegative=(("accel_m_s2", accel_m_s2),))
     circuit = replace(c, r_load_ohm=math.inf) if open_circuit else c
     out: list[tuple[float, TraceSummary]] = []
     for omega in omega_list:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import pathlib
 import re
 import tracemalloc
@@ -497,22 +498,36 @@ class TestBeamCommand:
         assert capsys.readouterr().err == "error: --materials: repeated name(s): silicon\n"
         assert not out.exists()
 
-    def test_empty_material_list_exits_2(self, capsys):
-        assert main(self.ARGS + ["--materials", " , "]) == 2
-        assert "no materials" in capsys.readouterr().err
+    # every entry goes through the name lookup, so an empty one is an unknown name,
+    # and an empty --materials is given, not the default
+    @pytest.mark.parametrize("materials", ["", " , ", "silicon,", ",silicon"],
+                             ids=["empty", "blank-entries", "trailing-empty", "leading-empty"])
+    def test_empty_material_list_exits_2(self, tmp_path, capsys, materials):
+        out = tmp_path / "beam.csv"
+        assert main(self.ARGS + [f"--materials={materials}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown material ''; "
+                                "available: beryllium_copper, silicon, stainless_302\n")
+        assert not out.exists()
 
     def test_bad_thickness_list_exits_2(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("50e-6,100e-6,150e-6")] = "thin,thick"
         assert main(argv) == 2
 
-    def test_empty_thickness_list_exits_2(self, capsys):
+    # every entry goes through float, so an empty one is refused wherever it stands
+    @pytest.mark.parametrize("thicknesses", [",", ",100e-6", "50e-6,,150e-6", "50e-6,"],
+                             ids=["lone-comma", "leading-empty", "middle-empty", "trailing-empty"])
+    def test_empty_thickness_list_exits_2(self, tmp_path, capsys, thicknesses):
+        out = tmp_path / "beam.csv"
         argv = list(self.ARGS)
-        argv[argv.index("50e-6,100e-6,150e-6")] = ","
-        assert main(argv) == 2
+        argv[argv.index("50e-6,100e-6,150e-6")] = thicknesses
+        assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --thicknesses: empty list\n"
+        assert captured.err == "error: --thicknesses: could not convert string to float: ''\n"
+        assert not out.exists()
 
     def test_thickness_wider_than_beam_exits_3(self, capsys):
         argv = list(self.ARGS)
@@ -621,6 +636,7 @@ def test_arithmetic_past_the_float_range_exits_3(tmp_path, capsys, monkeypatch):
 OUT_COMMANDS = {
     "model": ["model", "--scenario", "cantilever_nominal"],
     "sweep": ["sweep", "--kind", "frequency", "--scenario", "cantilever_nominal"],
+    "sweep-load": ["sweep", "--kind", "load", "--scenario", "cantilever_nominal"],
     "simulate": ["simulate", "--scenario", "lateral_nominal"],
     "beam": TestBeamCommand.ARGS,
     "compare": ["compare"],
@@ -642,6 +658,18 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, command, ta
     assert captured.out == ""
     assert captured.err == f"error: --out: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_failed_write_to_out_exits_2(capsys, command):
+    # /dev/full opens but refuses every write: the write or the close fails after
+    # the work, and the error is --out's, as a failed open's is
+    assert main([*OUT_COMMANDS[command], "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: [Errno 28] ")
+    assert captured.err.count("\n") == 1
 
 
 def _reference_csv(names, columns):

@@ -146,18 +146,27 @@ def test_beam_exit_codes_on_edge_values(edits, entry):
         _check_exit_rules(argv, os.path.join(tmp, "out.csv"))
 
 
-# raw argv text for a number option: empty, hex, negative zero, past the float range,
+# raw argv text for an option: empty, hex, negative zero, past the float range,
 # subnormal, padded and non-finite
 ARGV_EDGES = ["", "0x10", "-0", "1e400", "1e-320", " 3", "nan", "-inf"]
+# the name options, each in one subcommand that reads it, the other options nominal
+NAME_OPTIONS = {
+    "--scenario": ["model"],
+    "--accel-tag": ["model", "--scenario=cantilever_nominal"],
+    "--kind": ["sweep", "--scenario=cantilever_nominal"],
+}
 
 
 @pytest.mark.parametrize("raw", ARGV_EDGES, ids=repr)
-@pytest.mark.parametrize("option", [*BEAM, "--thicknesses", "--target-accel"])
+@pytest.mark.parametrize("option", [*BEAM, "--thicknesses", "--target-accel", *NAME_OPTIONS,
+                                    "--materials"])
 def test_number_options_on_edge_strings(option, raw):
-    # every text in every option, one at a time: --thicknesses takes it as its first
-    # entry, the one beam builds its base BeamSpec from
+    # every text in every number and name option, one at a time: --thicknesses takes
+    # it as its first entry, the one beam builds its base BeamSpec from
     if option == "--target-accel":
         argv = ["compare", f"--target-accel={raw}"]
+    elif option in NAME_OPTIONS:
+        argv = [*NAME_OPTIONS[option], f"{option}={raw}"]
     else:
         texts = {**{key: repr(value) for key, value in BEAM.items()},
                  "--thicknesses": "50e-6,100e-6,150e-6"}

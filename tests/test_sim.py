@@ -1064,6 +1064,16 @@ class TestFrequencySweep:
         with pytest.raises(ValueError):
             frequency_sweep_sim(make_gen(), dead_coil(), omegas, 3.0)
 
+    @pytest.mark.parametrize("accel", [-1.0, math.nan, math.inf])
+    def test_bad_acceleration_rejected_before_any_point(self, monkeypatch, accel):
+        # a sweep-wide argument, checked once as the axis is: no point runs, and
+        # no point's frequency is blamed
+        monkeypatch.setattr(sim, "simulate", None)
+        with pytest.raises(ValueError) as err:
+            frequency_sweep_sim(make_gen(), dead_coil(), [100.0, 200.0], accel)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"accel_m_s2 must be >= 0 and finite, got {accel}"
+
     W_N = 2.0 * math.pi * 350.0
 
     @pytest.mark.parametrize("zeta_p, omega, time_constants, cause, message", [
