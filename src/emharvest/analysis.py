@@ -150,22 +150,13 @@ class DeviceRecord:
     resonant_frequency_hz: float
     measured_power_w: float
     measured_at_acceleration_m_s2: float
-    flux_density_t: float | None = None
-    r_coil_ohm: float | None = None
-    notes: str = ""
 
     def __post_init__(self) -> None:
-        positive = [
+        _check_magnitudes((
             ("volume_mm3", self.volume_mm3), ("active_mass_kg", self.active_mass_kg),
             ("resonant_frequency_hz", self.resonant_frequency_hz),
             ("measured_at_acceleration_m_s2", self.measured_at_acceleration_m_s2),
-        ]
-        nonnegative = [("measured_power_w", self.measured_power_w)]
-        if self.flux_density_t is not None:
-            positive.append(("flux_density_t", self.flux_density_t))
-        if self.r_coil_ohm is not None:
-            nonnegative.append(("r_coil_ohm", self.r_coil_ohm))
-        _check_magnitudes(positive, nonnegative)
+        ), (("measured_power_w", self.measured_power_w),))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ and catalog comparison.
 All numeric output uses scientific notation with 9 significant digits and
 plain ASCII separators, so identical inputs give byte-identical files.
 
-Exit codes: 0 success, 2 configuration problem or an --out file that cannot
-be written, 4 simulation that did not reach steady state, 3 any other
+Exit codes: 0 success, 2 configuration problem or an --out file or stdout that
+cannot be written, 4 simulation that did not reach steady state, 3 any other
 numerical precondition failure (including a non-finite command-line number
-and arithmetic that leaves the float range).
+and arithmetic that leaves the float range), 141 a closed pipe on stdout or --out.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -48,16 +48,20 @@ def _num(x: float) -> str:
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The --out file, opened for writing, or stdout.  An OSError from the open, a
-    write or the close is a ConfigError; the path, perhaps a device, is never removed."""
-    if out is None:
-        yield sys.stdout
-        return
+    """The --out file, opened for writing, or stdout, flushed here.  An OSError from the
+    open, a write, the flush or the close is a ConfigError naming --out or stdout, but a
+    closed pipe stays a BrokenPipeError; the path, perhaps a device, is never removed."""
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with (open(out, "w", encoding="utf-8", newline="") if out is not None
+              else nullcontext(sys.stdout)) as fh:
             yield fh
+            fh.flush()  # stdout too, which the with leaves open
     except OSError as err:
-        raise ConfigError(f"--out: {err}") from err
+        if out is None:  # the "Note on SIGPIPE" in Python's signal docs: what is left
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # goes nowhere
+        if isinstance(err, BrokenPipeError):
+            raise
+        raise ConfigError(f"{'stdout' if out is None else '--out'}: {err}") from err
 
 
 def _check_out(out: str) -> None:
@@ -176,7 +180,7 @@ def _cmd_simulate(args: argparse.Namespace, catalog: Catalog) -> int:
         f"phase lag rad           : {_num(summary.phase_rad)}",
         f"energy residual         : {_num(summary.energy_balance_residual)}",
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", None)
     return 0
 
 
@@ -309,6 +313,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is not None:
             _check_out(args.out)  # before any work, for every subcommand
         return args.run(args, load_catalog(args.config))
+    except BrokenPipeError:  # the reader of stdout or of an --out pipe left
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -42,7 +42,6 @@ CANTILEVER = DeviceRecord(
     resonant_frequency_hz=350.0,
     measured_power_w=2.85e-6,
     measured_at_acceleration_m_s2=3.0,
-    r_coil_ohm=93.0,
 )
 LATERAL = DeviceRecord(
     name="lateral_micro",
@@ -51,8 +50,6 @@ LATERAL = DeviceRecord(
     resonant_frequency_hz=9500.0,
     measured_power_w=122e-9,
     measured_at_acceleration_m_s2=3.5,
-    flux_density_t=0.29,
-    r_coil_ohm=100.0,
 )
 
 
@@ -469,8 +466,7 @@ class TestDeviceRecord:
             ("resonant_frequency_hz", math.nan),
             ("measured_power_w", math.nan),
             ("measured_power_w", math.inf),
-        ]
-        + [(f, v) for f in ("flux_density_t", "r_coil_ohm") for v in (math.nan, math.inf, -1.0)],
+        ],
     )
     def test_rejects_bad_fields(self, field, value):
         kwargs = dict(

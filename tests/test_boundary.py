@@ -137,10 +137,9 @@ CASES = {
     "DeviceRecord": (
         DeviceRecord,
         dict(name="x", volume_mm3=10.0, active_mass_kg=1e-3, resonant_frequency_hz=100.0,
-             measured_power_w=1e-6, measured_at_acceleration_m_s2=1.0,
-             flux_density_t=0.5, r_coil_ohm=10.0),
+             measured_power_w=1e-6, measured_at_acceleration_m_s2=1.0),
         ("volume_mm3", "active_mass_kg", "resonant_frequency_hz", "measured_power_w",
-         "measured_at_acceleration_m_s2", "flux_density_t", "r_coil_ohm"),
+         "measured_at_acceleration_m_s2"),
     ),
     "normalize_power": (
         normalize_power,

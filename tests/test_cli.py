@@ -3,6 +3,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -49,7 +51,6 @@ active_mass_kg = 1e-3
 resonant_frequency_hz = 120
 measured_power_w = 1e-6
 measured_at_acceleration_m_s2 = 2.0
-r_coil_ohm = 47
 """
 
 RUSHED = """
@@ -143,8 +144,8 @@ class TestModelCommand:
          ("mass_kg = 1e-3", "mass_kg = inf"),
          ("side_length_m = 1e-3", "side_length_m = nan"),
          ("freq_hz = 120", "freq_hz = inf"),
-         ("r_coil_ohm = 47", "r_coil_ohm = nan")],
-        ids=["accel-nan", "mass-inf", "side-nan", "freq-inf", "device-r_coil-nan"],
+         ("measured_power_w = 1e-6", "measured_power_w = nan")],
+        ids=["accel-nan", "mass-inf", "side-nan", "freq-inf", "device-power-nan"],
     )
     def test_non_finite_catalog_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = bench_config(tmp_path, BENCH.replace(key, value))
@@ -188,11 +189,19 @@ class TestModelCommand:
         assert main(["model", "--scenario", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_config_file_exits_2(self, capsys):
-        code = main(
-            ["model", "--config", "/no/such/file.ini", "--scenario", "bench_run"]
-        )
-        assert code == 2
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        # an empty path and a directory cannot be read; the null device reads as
+        # a catalog with no sections
+        unreadable = "cannot read config file"
+        for config, message in [("/no/such/file.ini", unreadable), ("", unreadable),
+                                (str(tmp_path), unreadable),
+                                (os.devnull, "unknown scenario 'bench_run'; available: (none)")]:
+            code = main(["model", "--config", config, "--scenario", "bench_run"])
+            captured = capsys.readouterr()
+            assert code == 2, config
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err, config
+            assert "Traceback" not in captured.err
 
     # a 300-byte file name passes _check_out; only the open refuses it, which
     # simulate reaches after its run, with its summary not yet written
@@ -670,6 +679,41 @@ def test_failed_write_to_out_exits_2(capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error: --out: [Errno 28] ")
     assert captured.err.count("\n") == 1
+
+
+def _run_cli(argv, stdout, cwd):
+    """The exit code and stderr of a fresh `python -m emharvest.cli` process writing
+    to the stdout file object, with stdout buffered as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(cli.__file__).parents[1]),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-m", "emharvest.cli", *argv], stdout=stdout,
+                         stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=120)
+    assert "Traceback" not in run.stderr
+    return run.returncode, run.stderr
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path, command):
+    # the reader has left before the first write, so the write or the flush at
+    # the end meets EPIPE whatever the size of the output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as stdout:
+        assert _run_cli(OUT_COMMANDS[command], stdout, tmp_path) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", [*OUT_COMMANDS, "simulate-out"])
+def test_failed_write_to_stdout_exits_2(tmp_path, command):
+    # simulate --out writes its trace, then its summary to a full stdout
+    argv = (OUT_COMMANDS["simulate"] + ["--out", "trace.csv"] if command == "simulate-out"
+            else OUT_COMMANDS[command])
+    with open("/dev/full", "w") as stdout:
+        code, err = _run_cli(argv, stdout, tmp_path)
+    assert code == 2
+    assert err == "error: stdout: [Errno 28] No space left on device\n"
+    assert (tmp_path / "trace.csv").exists() == (command == "simulate-out")
 
 
 def _reference_csv(names, columns):

@@ -115,7 +115,6 @@ class TestParsing:
     def test_minimal_file(self, tmp_path):
         cat = load_catalog(write(tmp_path, MINIMAL))
         assert cat.materials["steel"].density_kg_m3 == 7800.0
-        assert cat.devices["widget"].flux_density_t is None
         scn = cat.scenario("run")
         assert scn.generator.name == "unit"
         assert scn.generator.circuit.r_load_ohm == 150.0
@@ -182,10 +181,18 @@ r_load_ohm = 20
          ("freq_points = 5", "freq_points = 5\ndt_s = 1e-4\nduration_s = 0.5\n"
           "settle_fraction = 0.8", "scenario.run", "settle_fraction"),
          ("freq_start = 100\nfreq_stop = 140\nfreq_points = 5", "freq_scale = log",
-          "scenario.run", "freq_scale")],
+          "scenario.run", "freq_scale"),
+         # a device's flux density, coil resistance and note are catalog comments
+         ("active_mass_kg = 1e-3", "active_mass_kg = 1e-3\nflux_density_t = 0.4",
+          "device.widget", "flux_density_t"),
+         ("active_mass_kg = 1e-3", "active_mass_kg = 1e-3\nr_coil_ohm = 25", "device.widget",
+          "r_coil_ohm"),
+         ("active_mass_kg = 1e-3", "active_mass_kg = 1e-3\nnotes = hand wound",
+          "device.widget", "notes")],
         ids=["misspelled-generator-key", "misspelled-material-key", "device-extra-key",
              "misspelled-scenario-key", "inline-key-beside-reference", "sim-key-without-sim",
-             "retired-sim-key", "scale-without-range"],
+             "retired-sim-key", "scale-without-range", "retired-device-flux-key",
+             "retired-device-r_coil-key", "retired-device-notes-key"],
     )
     def test_unread_key_names_section_and_key(self, tmp_path, capsys, old, new, section, key):
         text = MINIMAL.replace(old, new)
@@ -316,7 +323,6 @@ EVERY_FIELD = {
     "device.widget": {
         "volume_mm3": "100", "active_mass_kg": "1e-3", "resonant_frequency_hz": "120",
         "measured_power_w": "5e-6", "measured_at_acceleration_m_s2": "2.0",
-        "flux_density_t": "0.4", "r_coil_ohm": "25", "notes": "hand wound",
     },
     "generator.unit": {
         "mass_kg": "1e-3", "stiffness_n_per_m": "568.489", "zeta_parasitic": "0.01",
@@ -339,9 +345,7 @@ GENERATOR = GeneratorAssembly(
 )
 EXPECTED = Catalog(
     materials={"steel": MaterialProps("steel", 193e9, 7900.0)},
-    devices={"widget": DeviceRecord("widget", 100.0, 1e-3, 120.0, 5e-6, 2.0,
-                                    flux_density_t=0.4, r_coil_ohm=25.0,
-                                    notes="hand wound")},
+    devices={"widget": DeviceRecord("widget", 100.0, 1e-3, 120.0, 5e-6, 2.0)},
     generators={"unit": GENERATOR},
     scenarios={"run": Scenario(
         "run", GENERATOR, 2.0, "rms", 120.0,
@@ -392,9 +396,6 @@ class TestEveryField:
             catalog_without(tmp_path, section, key)
 
     @pytest.mark.parametrize("section, key, holder", [
-        ("device.widget", "flux_density_t", lambda cat: cat.devices["widget"]),
-        ("device.widget", "r_coil_ohm", lambda cat: cat.devices["widget"]),
-        ("device.widget", "notes", lambda cat: cat.devices["widget"]),
         ("generator.unit", "displacement_limit_m", lambda cat: cat.generators["unit"].params),
         ("generator.unit", "l_coil_h", lambda cat: cat.generators["unit"].circuit),
     ])
