@@ -102,7 +102,14 @@ class SweepCurve:
         response_column: str = "emf_rms_v",
         acceleration_tag: str = "rms",
     ) -> "SweepCurve":
-        """Load a frequency-sweep CSV (freq_hz plus named response column)."""
+        """Load a frequency-sweep CSV (freq_hz plus named response column); a
+        power column (a name ending in _w) raises ValueError."""
+        if response_column.endswith("_w"):
+            raise ValueError(
+                f"response_column {response_column!r} is a power: extract_q_half_power "
+                f"reads an amplitude at 1/sqrt(2) of its peak, where a power is at 1/2, "
+                f"so its Q would be too high; use an amplitude such as emf_rms_v"
+            )
         freqs, mags = _read_columns(path, ("freq_hz", response_column))
         unit = "m" if response_column.endswith("_m") else "V"
         return cls(

@@ -281,5 +281,5 @@ def load_catalog(path: str | None = None) -> Catalog:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
+        raise ConfigError(f"cannot read config file {path!r}: {err}") from err
     return _parse_text(text, path)

@@ -190,7 +190,8 @@ class Trace:
 
     simulate(..., return_trace=True) is one whole-run block of _trace_blocks, the
     columns return_trace="blocks" streams (z in the audit's buffer, z' the run's
-    own): 40 bytes per sample, where a stream holds one block of at most 4096."""
+    own): 40 bytes per sample, where a stream holds the run's tables and one
+    block of at most 4096, with each block's z and z' evaluated as it is read."""
 
     t_s: np.ndarray
     z_m: np.ndarray
@@ -293,14 +294,15 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
     at each of the increasing samples `at`, as a Python float and complex; z' and the drive sin(w dt i) it was
     integrated against at the n_samples samples i dt; the step map
     x_(i+1) = P x_i + Im(g q^i) it was evaluated from (_rk4_map's tuple); and a
-    generator of z, one array per block, evaluated only as it is read.  From a
+    generator of (z, z'), a pair of arrays per block, evaluated as it is read.  From a
     block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum
     over k < j of P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j
     and q^j are tabulated once per run by doubling (_tables), and each block
     is evaluated from them in closed form, with no step loop.  The block loop
     evaluates z' over each block, and z only at its end (the next block's
-    start) and at `at`; z_blocks keeps each block's (x_s, q^s) and z's row of
-    the tables, and evaluates the rest of z with the same _state.
+    start) and at `at`; z_blocks keeps each block's (x_s, q^s) and the tables'
+    two rows, and evaluates z and again z' with the same _state, so it holds
+    no whole-run array: the bytes of z' are those of the returned z'.
 
     This is the RK4 solution, phase error included, rounded differently:
     tests/test_sim.py holds it to the per-step loop within 1e-11 of the
@@ -340,20 +342,21 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
             z0 = _state(z_row, 0, x, q, m)
 
     def z_blocks():
-        for start, x, q in firsts:
-            yield _state(z_row, 0, x, q, slice(min(m, n_samples - start)))
+        for start, x, q in firsts:  # j = 0 reads x back (E_0 = R_0 = 0), a lone last sample too
+            j = slice(min(m, n_samples - start))
+            yield _state(z_row, 0, x, q, j), _state(v_row, 1, x, q, j)
 
     return named, buf[1, :n_samples], sin, step, z_blocks()
 
 
-def _trace_blocks(dt: float, z_blocks: Iterable[np.ndarray], v: np.ndarray, coupling: float,
+def _trace_blocks(dt: float, blocks: Iterable[tuple], coupling: float,
                   share: float) -> Iterator[tuple]:
-    """The trace's columns (t, z, z', emf, p_load) over each block of z in turn;
-    t and p_load are formed in place, so a whole-run block makes no temporary."""
+    """The trace's columns (t, z, z', emf, p_load) over each (z, z') block in
+    turn, holding nothing of the run but what the blocks hold; t and p_load
+    are formed in place, so a whole-run block makes no temporary."""
     stop = 0
-    for z in z_blocks:
+    for z, zdot in blocks:
         start, stop = stop, stop + len(z)
-        zdot = v[start:stop]
         emf = coupling * zdot
         t = np.arange(start, stop, dtype=float)
         t *= dt
@@ -474,10 +477,10 @@ def simulate(
     if not return_trace:
         return summary
     if return_trace == "blocks":
-        return summary, _trace_blocks(dt, z_blocks, v_arr, coupling, share)
+        return summary, _trace_blocks(dt, z_blocks, coupling, share)
     # a Trace is the whole run as one block: z in the audit's buffer, z' the run's own
-    z = np.concatenate(list(z_blocks), out=drive)
-    return summary, Trace(*next(_trace_blocks(dt, (z,), v_arr, coupling, share)))
+    z = np.concatenate([z for z, _ in z_blocks], out=drive)
+    return summary, Trace(*next(_trace_blocks(dt, ((z, v_arr),), coupling, share)))
 
 
 def frequency_sweep_sim(

@@ -120,6 +120,20 @@ class TestSweepCurve:
         assert displacement.magnitudes == (1e-6, 2e-6, 9e-6, 2e-6, 1e-6)
         assert displacement.response_unit == "m"
 
+    @pytest.mark.parametrize("column", ["p_load_w", "p_total_w"])
+    def test_csv_power_column_refused(self, tmp_path, column):
+        # a power is at 1/2 of its peak where an amplitude is at 1/sqrt(2), so Q
+        # read from one at 1/sqrt(2) is too high: on the bundled cantilever sweep
+        # p_load_w gave Q = 324.48 against emf_rms_v's 208.60
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"freq_hz,emf_rms_v,{column}\n" + "".join(
+            f"{f},{v},{v * v}\n" for f, v in ((340, 0.1), (345, 0.2), (350, 0.9),
+                                              (355, 0.2), (360, 0.1))))
+        with pytest.raises(ValueError, match=rf"^response_column '{column}' is a power: "
+                                             r"extract_q_half_power reads an amplitude"):
+            SweepCurve.from_csv(str(path), 1.0, response_column=column)
+        assert SweepCurve.from_csv(str(path), 1.0).response_unit == "V"
+
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("freq_hz,other\n1,2\n")

@@ -190,8 +190,8 @@ class TestModelCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        # an empty path and a directory cannot be read; the null device reads as
-        # a catalog with no sections
+        # an empty path and a directory cannot be read, each named quoted, as
+        # --out names its path; the null device reads as a catalog with no sections
         unreadable = "cannot read config file"
         for config, message in [("/no/such/file.ini", unreadable), ("", unreadable),
                                 (str(tmp_path), unreadable),
@@ -202,6 +202,9 @@ class TestModelCommand:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and message in captured.err, config
             assert "Traceback" not in captured.err
+            if config == "":
+                assert captured.err == ("error: cannot read config file '': "
+                                        "[Errno 2] No such file or directory: ''\n")
 
     # a 300-byte file name passes _check_out; only the open refuses it, which
     # simulate reaches after its run, with its summary not yet written
@@ -224,7 +227,7 @@ class TestModelCommand:
                          .encode("latin-1"))
         assert main(["model", "--config", str(path), "--scenario", "bench_run"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read config file {path}: 'utf-8' codec")
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: 'utf-8' codec")
         assert "Traceback" not in err
 
     def test_missing_scenario_flag_is_usage_error(self, capsys):

@@ -454,8 +454,8 @@ def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2, at):
     """The per-step form of sim._rk4: math.sin at every step, states kept in
     whole-run lists, its own drive np.sin(w t), the step map of
     sim._rk4_map, whose forced orbit simulate reads, z with _cis's phase at
-    each named sample, and z as one block.  The closed form must reproduce
-    z and z' within 1e-11 of their largest value (RK4_REL)."""
+    each named sample, and (z, z') as one block.  The closed form must
+    reproduce z and z' within 1e-11 of their largest value (RK4_REL)."""
     t = np.arange(n_samples) * dt
     sin = math.sin
     half = 0.5 * dt
@@ -484,15 +484,18 @@ def per_step_rk4(n_samples, dt, forcing, w, two_zw, wn2, at):
         zs.append(z)
         vs.append(v)
     step = sim._rk4_map(dt, forcing, w, two_zw, wn2)
-    z = np.asarray(zs)
+    z, v = np.asarray(zs), np.asarray(vs)
     named = [(z[s], sim._cis(step[0], step[1], s)) for s in at]
-    return named, np.asarray(vs), np.sin(w * t), step, iter([z])
+    return named, v, np.sin(w * t), step, iter([(z, v)])
 
 
 def whole_run(rk4, *args):
-    """z and z' at every sample of rk4's run: its z blocks drained, and its z'."""
-    _, v, _, _, z_blocks = rk4(*args, ())
-    return np.concatenate(list(z_blocks)), v
+    """z and z' at every sample of rk4's run, from its (z, z') blocks drained;
+    their z' is the run's returned z' bit for bit."""
+    _, v, _, _, blocks = rk4(*args, ())
+    z, zdot = (np.concatenate(column) for column in zip(*blocks))
+    assert zdot.tobytes() == v.tobytes()
+    return z, zdot
 
 
 def assert_streams(blocks, trace):
@@ -524,9 +527,9 @@ class TestBlockedDrive:
         seen = []
 
         def recording(*args):
-            named, v, sin, step, z_blocks = rk4(*args)
-            seen.append((np.concatenate(list(z_blocks)), v))
-            return named, v, sin, step, iter([seen[-1][0]])
+            named, v, sin, step, blocks = rk4(*args)
+            seen.append((np.concatenate([z for z, _ in blocks]), v))
+            return named, v, sin, step, iter([seen[-1]])
 
         monkeypatch.setattr(sim, "_rk4", recording)
         try:
@@ -857,7 +860,8 @@ def two_row_rk4(n_samples, dt, forcing, w, two_zw, wn2):
 @pytest.mark.parametrize("n", [2, 3, 4095, 4096, 4097, 8193, 12289, None])
 def test_trace_free_run_is_the_two_row_run(n):
     # z' and the drive bit for bit, z at each named sample and over the drained
-    # blocks as in the z row, with the drive's own phase there: 8 x 19 runs
+    # blocks as in the z row, with the drive's own phase there, and the drained
+    # blocks' z' as the z' row, a lone last sample's included: 8 x 19 runs
     rng = np.random.default_rng(n or 0)
     for _ in range(19):
         args = random_run(rng, n or int(rng.integers(2, 13000)))
@@ -871,14 +875,16 @@ def test_trace_free_run_is_the_two_row_run(n):
             assert np.float64(z_s).tobytes() == z[s].tobytes()
             assert q_s.imag == sin[s]
             assert abs(q_s - sim._cis(num, den, s)) <= 1e-15
-        assert np.concatenate(list(z_blocks)).tobytes() == z.tobytes()
+        zs, zdots = zip(*z_blocks)
+        assert np.concatenate(zs).tobytes() == z.tobytes()
+        assert np.concatenate(zdots).tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4097, 12289])
 def test_trace_free_run_evaluates_z_only_at_block_ends_and_named_samples(monkeypatch, n):
     # the block loop forms z' over whole blocks and z at single columns only;
-    # z over a block is formed only when the z blocks are read, once each; the
-    # one whole-run buffer holds z' and the drive
+    # z and again z' over a block are formed only when the blocks are read,
+    # once each; the one whole-run buffer holds z' and the drive
     m = min(sim._BLOCK_STEPS, 1 << (n - 1).bit_length())
     at = (0, m, n - 1) if n > m else (0, n - 1)
     calls, sizes = [], []
@@ -906,8 +912,8 @@ def test_trace_free_run_evaluates_z_only_at_block_ends_and_named_samples(monkeyp
     assert sizes == [(2, 2, m + 1), (2, m + 1), (2, -(-(n - 1) // m) * m + 1)]
     assert v.base is sin.base is not None
     del calls[:]
-    assert sum(len(z) for z in z_blocks) == n
-    assert calls == [(0, slice(min(m, n - start))) for start in range(0, n, m)]
+    assert sum(len(z) for z, _ in z_blocks) == n
+    assert calls == [(r, slice(min(m, n - start))) for start in range(0, n, m) for r in (0, 1)]
 
 
 @pytest.mark.parametrize("name", ["cantilever_nominal", "lateral_nominal"])
@@ -943,6 +949,30 @@ def test_trace_allocates_forty_bytes_per_sample():
             tracemalloc.stop()
     assert len(trace.t_s) == cfg.n_steps + 1
     assert peak <= 40 * (cfg.n_steps + 1) + 256 * 1024
+
+
+def test_stream_holds_less_than_one_whole_run_column():
+    # once the stream's first block is read, the run holds its tables, that
+    # block and each block's start: the buffer of z' and the drive (16 bytes
+    # per sample) has been freed, and no whole-run array is left (0.43 MB of
+    # the 1.0 MB here on the cantilever run's 125,001 samples)
+    scn = emharvest.load_catalog().scenario("cantilever_nominal")
+    g, c = scn.generator.params, scn.generator.circuit
+    e = Excitation.from_acceleration(scn.accel_m_s2, 2.0 * math.pi * scn.freq_hz)
+    simulate(g, c, e, scn.sim)  # any cache a first run fills, outside the count
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, blocks = simulate(g, c, e, scn.sim, return_trace="blocks")
+        first = next(blocks)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(first[0]) == sim._BLOCK_STEPS
+    assert held < 8 * (scn.sim.n_steps + 1), held
 
 
 # (4097, 4096) and (12289, 4096): the last sample starts a block of its own,
