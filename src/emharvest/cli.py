@@ -8,11 +8,14 @@ Exit codes: 0 success, 2 configuration problem or an --out file or stdout that
 cannot be written, 4 simulation that did not reach steady state, 3 any other
 numerical precondition failure (including a non-finite command-line number
 and arithmetic that leaves the float range), 141 a closed pipe on stdout or --out.
+run() is the process entry: it freezes gc, so the collections at exit skip what the
+imports built.  main(argv) leaves gc alone: a frozen long-lived caller keeps its garbage.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -330,5 +333,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def run() -> int:
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

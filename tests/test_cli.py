@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -684,14 +685,21 @@ def test_failed_write_to_out_exits_2(capsys, command):
     assert captured.err.count("\n") == 1
 
 
-def _run_cli(argv, stdout, cwd):
-    """The exit code and stderr of a fresh `python -m emharvest.cli` process writing
-    to the stdout file object, with stdout buffered as it is by default."""
+def _child_env():
+    """The environment of a child that imports this emharvest, with stdout
+    buffered as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(cli.__file__).parents[1]),
                                          *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def _run_cli(argv, stdout, cwd):
+    """The exit code and stderr of a fresh `python -m emharvest.cli` process writing
+    to the stdout file object."""
     run = subprocess.run([sys.executable, "-m", "emharvest.cli", *argv], stdout=stdout,
-                         stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=120)
+                         stderr=subprocess.PIPE, text=True, env=_child_env(), cwd=cwd,
+                         timeout=120)
     assert "Traceback" not in run.stderr
     return run.returncode, run.stderr
 
@@ -717,6 +725,59 @@ def test_failed_write_to_stdout_exits_2(tmp_path, command):
     assert code == 2
     assert err == "error: stdout: [Errno 28] No space left on device\n"
     assert (tmp_path / "trace.csv").exists() == (command == "simulate-out")
+
+
+# what `python -m emharvest.cli` runs, with the exit code and gc's freeze count
+# reported on a last stderr line once the module's own exit has been caught
+_ENTRY = """\
+import gc, runpy, sys
+try:
+    runpy.run_module("emharvest.cli", run_name="__main__")
+except SystemExit as exit:
+    print("exit", exit.code, "frozen", gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_process_entry_exits_with_each_documented_code_after_freezing_gc(
+        tmp_path, capsys, code):
+    # every exit path of a fresh process goes through run(), which freezes gc
+    # before main(); stdout is main's to the byte
+    (tmp_path / "rushed.ini").write_text(RUSHED)
+    argv, error = {
+        0: (OUT_COMMANDS["model"], None),
+        2: (["model", "--scenario", "nowhere"], "error: unknown scenario 'nowhere'; "),
+        3: (["compare", "--target-accel", "nan"], "error: a_target_m_s2 "),
+        4: (["simulate", "--config", "rushed.ini", "--scenario", "rushed"],
+            "error: simulation did not settle: "),
+    }[code]
+    run = subprocess.run([sys.executable, "-c", _ENTRY, *argv], capture_output=True,
+                         env=_child_env(), cwd=tmp_path, timeout=120)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr.decode("utf-8")
+    *lines, last = run.stderr.decode("utf-8").splitlines()
+    exit_code, frozen = re.fullmatch(r"exit (\d+) frozen (\d+)", last).groups()
+    assert int(exit_code) == code
+    assert int(frozen) > 0
+    if error is None:
+        assert lines == []
+        assert main(argv) == 0
+        assert run.stdout == capsys.readouterr().out.encode("utf-8")
+    else:
+        assert run.stdout == b""
+        assert len(lines) == 1 and lines[0].startswith(error)
+
+
+def test_console_script_is_the_process_entry_and_main_leaves_gc_alone():
+    # a freeze keeps alive whatever cyclic garbage exists at the call, so only the
+    # process entry makes it; in-process callers of main() keep their collector
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert re.findall(r'^emharvest\s*=\s*"([^"]*)"', section.group(1), re.M) == [
+        "emharvest.cli:run"]
+    frozen = gc.get_freeze_count()
+    assert main(OUT_COMMANDS["model"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def _reference_csv(names, columns):
