@@ -47,8 +47,8 @@ __all__ = [
     "frequency_sweep_sim",
 ]
 
-# resolution floor for the faster of the drive and natural periods, and
-# SimConfig.suggest's resolution where Q_T asks for no more
+# resolution floor for the faster of the drive and natural periods, and suggest's where Q_T
+# asks for no more (64: at 50, a Q_T = 50 resonant run's energy residual is 1.46e-5)
 _MIN_STEPS_PER_PERIOD = 50
 _STEPS_PER_PERIOD = 64
 
@@ -60,7 +60,7 @@ _SETTLE_LIMIT = 1e-2
 _SETTLE_FRACTION = 0.8
 
 # damping time constants 1/(zeta_t w_n) in a suggested run: at the window start they
-# leave at most 6.8e-4 of |X_z| over Q_T 30-3000 and w/w_n 0.5-2, a x10 margin under
+# leave at most 8.7e-4 of |X_z| over Q_T 1.2-3000 and w/w_n 0.5-2, a x11 margin under
 # _SETTLE_LIMIT; the settle test, not this count, judges every run
 _SETTLE_TIME_CONSTANTS = 10.0
 
@@ -77,7 +77,7 @@ _MAX_STEPS = 20_000_000
 
 
 class SimulationNotSettled(RuntimeError):
-    """Raised when a run's start-up transient lasts into its measurement window."""
+    """Raised when a run's start-up transient is over the settle limit at its window start."""
 
 
 class SweepPointError(RuntimeError):
@@ -93,9 +93,9 @@ class SweepPointError(RuntimeError):
 class SimConfig:
     """Fixed-step integrator settings: the step and the run's length.
 
-    The leading 80% of the run is allowed to settle: the measurement window
-    opens at sample int(0.8 * n_steps) (_SETTLE_FRACTION), where simulate
-    requires the start-up transient to be under 1% of the response.
+    The leading 80% of the run is allowed to settle: at the window start,
+    sample int(0.8 * n_steps) (_SETTLE_FRACTION), simulate requires the
+    start-up transient to be under 1% of the response.
     """
 
     dt_s: float
@@ -128,13 +128,13 @@ class SimConfig:
     ) -> "SimConfig":
         """Pick a step and duration suited to the device and drive frequency.
 
-        The step resolves the faster of the drive and natural periods with
-        64 steps (_STEPS_PER_PERIOD), or more where Q_T = 1/(2 zeta_t) needs them:
-        n >= 2 pi (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120
-        to 1e-3 rad (more than 64 steps above Q_T ~ 645).  The duration spans
-        _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n), so the
-        start-up transient is under _SETTLE_LIMIT / 10 of steady state when the
-        measurement window opens, with a 30-period floor for heavy damping.
+        The step resolves the faster of the drive and natural periods with 64 steps
+        (_STEPS_PER_PERIOD), or more where Q_T = 1/(2 zeta_t) needs them: n >= 2 pi
+        (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120 to 1e-3 rad (more
+        than 64 steps above Q_T ~ 645).  Not simulate's 50-step floor: at 50 a Q_T = 50
+        resonant run's energy residual is 1.46e-5, not 3.78e-6, over the 1e-5 it is tested
+        to.  The duration is _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n)
+        alone, which leave a start-up transient under _SETTLE_LIMIT / 10 at the window start.
         """
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
         wn, *_, zeta_t = _damping_terms(g, c, omega_rad_per_s)
@@ -143,8 +143,7 @@ class SimConfig:
         # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
         n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
         dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(_STEPS_PER_PERIOD, n_q)
-        duration = max(_SETTLE_TIME_CONSTANTS / (zeta_t * wn),
-                       30.0 * 2.0 * math.pi / omega_rad_per_s)
+        duration = _SETTLE_TIME_CONSTANTS / (zeta_t * wn)
         if duration / dt > _MAX_STEPS:
             raise ValueError(
                 f"the suggested run for Q_T={0.5 / zeta_t:.6g} takes {duration / dt:.0f} "

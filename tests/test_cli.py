@@ -524,6 +524,16 @@ class TestBeamCommand:
                                 "available: beryllium_copper, silicon, stainless_302\n")
         assert not out.exists()
 
+    def test_catalog_without_materials_exits_2(self, tmp_path, capsys):
+        # BENCH has no [material.*] section, and no --materials names one
+        out = tmp_path / "beam.csv"
+        assert "[material." not in BENCH
+        assert main(self.ARGS + ["--config", bench_config(tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no materials: the catalog has none\n"
+        assert not out.exists()
+
     def test_bad_thickness_list_exits_2(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("50e-6,100e-6,150e-6")] = "thin,thick"

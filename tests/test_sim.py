@@ -78,13 +78,22 @@ class TestSimConfig:
             assert cfg.dt_s <= 2.0 * math.pi / natural_frequency(g) / 50.0
 
     def test_suggest_duration_covers_settling(self):
-        # 10 damping time constants of the zeta_t simulate reads on this run,
-        # which is over the 30-period floor at Q_T = 217
+        # 10 damping time constants of the zeta_t simulate reads on this run
         g = make_gen(zeta_p=0.0023)
         wn = natural_frequency(g)
         cfg = SimConfig.suggest(g, dead_coil(), wn)
         zeta_t = total_damping(g, dead_coil(), wn)[2]
-        assert cfg.duration_s == 10.0 / (zeta_t * wn) > 30.0 * 2.0 * math.pi / wn
+        assert cfg.duration_s == 10.0 / (zeta_t * wn)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_suggest_duration_is_the_settle_rule_alone_under_heavy_damping(self, ratio):
+        # Q_T = 2: 10 time constants are 40 / w_n, 6.4 drive periods at
+        # resonance and 3.2 at half of it; no period count stretches the run
+        g = make_gen(zeta_p=0.25)
+        wn = natural_frequency(g)
+        cfg = SimConfig.suggest(g, dead_coil(), ratio * wn)
+        zeta_t = total_damping(g, dead_coil(), ratio * wn)[2]
+        assert cfg.duration_s == 10.0 / (zeta_t * wn)
 
     def test_suggest_rejects_undamped(self):
         g = make_gen(zeta_p=0.0)
@@ -295,7 +304,7 @@ class TestSimulate:
         g, c = GeneratorParams(4.4e-4, 4.4e-4 * wn * wn, 0.0023), dead_coil()
         e = Excitation(6.2e-7, wn)
         cfg = SimConfig.suggest(g, c, wn)
-        assert cfg.duration_s == pytest.approx(10.0 / (0.0023 * wn), rel=1e-12)  # no floor
+        assert cfg.duration_s == pytest.approx(10.0 / (0.0023 * wn), rel=1e-12)
 
         def figures(s):
             return [getattr(s, f.name).hex() for f in fields(s)
@@ -687,8 +696,8 @@ def q_design(q_t, loaded, wn=2.0 * math.pi * 100.0):
 def test_suggested_runs_settle_with_margin(monkeypatch):
     # 10 damping time constants leave at most _SETTLE_LIMIT / 10 of the amplitude
     # at the default window start: the settle figure simulate tests, from _rk4's
-    # named sample at i0 (6.8e-4 at worst, at Q_T = 30 and w / w_n = 2, where
-    # the 30-period floor does not apply)
+    # named sample at i0 (8.7e-4 at worst, at Q_T = 1.2 and w / w_n = 2; a
+    # Q_T = 1.2 run at w / w_n = 0.5 spans 1.9 drive periods)
     runs = []
 
     def recording(*args):
@@ -698,7 +707,8 @@ def test_suggested_runs_settle_with_margin(monkeypatch):
 
     monkeypatch.setattr(sim, "_rk4", recording)
     worst = 0.0
-    for q_t, loaded, ratio in itertools.product((30.0, 100.0, 300.0, 1000.0, 3000.0),
+    for q_t, loaded, ratio in itertools.product((1.2, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0,
+                                                 3000.0),
                                                 (True, False), np.linspace(0.5, 2.0, 13)):
         g, c = q_design(q_t, loaded)
         wn = natural_frequency(g)
