@@ -41,7 +41,7 @@ _HALF_POWER = 1.0 / math.sqrt(2.0)
 def _read_columns(path: str, names: tuple[str, ...]) -> list[tuple[float, ...]]:
     """The named columns of a headed CSV file as float tuples.  A missing or
     repeated column, short row or non-number cell is a ValueError naming where."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in names if header.count(name) != 1]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-import typing
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
@@ -137,12 +136,10 @@ def _lookup(kind: str, name: str, table: dict, where: str = ""):
 @functools.cache
 def _keys(cls) -> tuple[tuple[str, type, object], ...]:
     """(name, kind, default) per field of cls: int and str fields are read
-    as such, any other as float; MISSING marks a required key."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name] if hints[f.name] in (int, str) else float, f.default)
-        for f in fields(cls)
-    )
+    as such, any other as float; MISSING marks a required key.  f.type is the
+    annotation's string: every module uses `from __future__ import annotations`."""
+    kinds = {"int": int, "str": str}
+    return tuple((f.name, kinds.get(f.type, float), f.default) for f in fields(cls))
 
 
 class _Section:
@@ -273,10 +270,8 @@ def _parse_text(text: str, origin: str) -> Catalog:
 def load_catalog(path: str | None = None) -> Catalog:
     """Load a catalog file; with path=None the bundled catalog is used."""
     if path is None:
-        text = (
-            resources.files("emharvest").joinpath("data/catalog.ini").read_text()
-        )
-        return _parse_text(text, "bundled catalog")
+        bundled = resources.files("emharvest").joinpath("data/catalog.ini")
+        return _parse_text(bundled.read_text(encoding="utf-8"), "bundled catalog")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -20,6 +20,7 @@ the two routes can be used to check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Literal, Sequence
@@ -257,28 +258,41 @@ def _state(row: tuple, r: int, x: tuple, q: complex, j) -> np.ndarray:
     return (x[r] + (e0[j] * x[0] + e1[j] * x[1])) + (q.real * im[j] + q.imag * re[j])
 
 
+@functools.lru_cache(maxsize=1)
+def _powers(e1: tuple, top: int) -> np.ndarray:
+    """E_j = P^j - I (read-only, [:, :, j], j <= top) from E_1 = e1, by doubling:
+    E_(m+j) = E_m + E_j + E_m E_j.  It depends on the step matrix alone, so a sweep's
+    points at or below w_n share one (suggest's dt follows max(w, w_n), and zeta_t
+    does not follow w when L = 0)."""
+    et = np.zeros((2, 2, top + 1))
+    et[:, :, 1], m = e1, 1
+    while m < top:
+        a, ej = et[:, :, m, None], et[:, :, 1:m + 1]
+        et[:, :, m + 1:2 * m + 1] = a + ej + (a[:, 0, None] * ej[0] + a[:, 1, None] * ej[1])
+        m *= 2
+    et.flags.writeable = False
+    return et
+
+
 def _tables(step: tuple, top: int) -> tuple:
     """The tables _state reads, for z's row and for z''s (j <= top), and q^j
     (j < top), from _rk4_map's tuple step; top is a power of 2.
 
-    E_j = P^j - I (et[:, :, j]) and R_j (rt[:, j]); E_(m+j) = E_m + E_j + E_m E_j,
-    R_(m+j) = R_m + E_j R_m + q^m R_j and q^(m+j) = q^m q^j extend them from m
-    to 2m in one pass, one array operation per term.  I is kept apart, as in
-    _rk4_map.
+    E_j = P^j - I (et[:, :, j]) is _powers', built once per step matrix; R_j
+    (rt[:, j]) and q^j are built per run: R_(m+j) = R_m + E_j R_m + q^m R_j and
+    q^(m+j) = q^m q^j extend them from m to 2m in one pass, one array
+    operation per term.  I is kept apart, as in _rk4_map.
     """
     num, den, e1, g, q_one, _ = step
-    et = np.zeros((2, 2, top + 1))
-    et[:, :, 1] = e1
+    et = _powers(e1, top)
     rt = np.zeros((2, top + 1), complex)
     rt[:, 1] = g
     qt = np.ones(top, complex)
     m = 1
     while m < top:
         qm = q_one if m == 1 else _cis(num, den, m)
-        a, r, new = et[:, :, m, None], rt[:, m, None], slice(m + 1, 2 * m + 1)
-        ej = et[:, :, 1:m + 1]
-        rt[:, new] = r + (ej[:, 0] * r[0] + ej[:, 1] * r[1]) + qm * rt[:, 1:m + 1]
-        et[:, :, new] = a + ej + (a[:, 0, None] * ej[0] + a[:, 1, None] * ej[1])
+        r, ej = rt[:, m, None], et[:, :, 1:m + 1]
+        rt[:, m + 1:2 * m + 1] = r + (ej[:, 0] * r[0] + ej[:, 1] * r[1]) + qm * rt[:, 1:m + 1]
         qt[m:2 * m] = qm * qt[:m]
         m *= 2
     z_row, v_row = ((et[r, 0], et[r, 1], rt[r].imag.copy(), rt[r].real.copy()) for r in (0, 1))
@@ -295,13 +309,13 @@ def _rk4(n_samples: int, dt: float, forcing: float, w: float, two_zw: float, wn2
     x_(i+1) = P x_i + Im(g q^i) it was evaluated from (_rk4_map's tuple); and a
     generator of (z, z'), a pair of arrays per block, evaluated as it is read.  From a
     block's first sample s, x_(s+j) = P^j x_s + Im(q^s R_j), where R_j = sum
-    over k < j of P^(j-1-k) g q^k is the response j steps after rest; P^j, R_j
-    and q^j are tabulated once per run by doubling (_tables), and each block
-    is evaluated from them in closed form, with no step loop.  The block loop
-    evaluates z' over each block, and z only at its end (the next block's
-    start) and at `at`; z_blocks keeps each block's (x_s, q^s) and the tables'
-    two rows, and evaluates z and again z' with the same _state, so it holds
-    no whole-run array: the bytes of z' are those of the returned z'.
+    over k < j of P^(j-1-k) g q^k is the response j steps after rest; P^j is
+    tabulated once per step matrix, R_j and q^j once per run, by doubling
+    (_tables), and each block is evaluated from them in closed form, with no
+    step loop.  The block loop evaluates z' over each block, and z only at its
+    end (the next block's start) and at `at`; z_blocks keeps each block's
+    (x_s, q^s) and the tables' two rows, and evaluates z and again z' with the
+    same _state: it holds no whole-run array, and its z' equals the returned z'.
 
     This is the RK4 solution, phase error included, rounded differently:
     tests/test_sim.py holds it to the per-step loop within 1e-11 of the
@@ -425,7 +439,7 @@ def simulate(
     ((z_i0, q0), (z_end, _)), v_arr, drive, step, z_blocks = _rk4(
         n_steps + 1, dt, forcing, w, 2.0 * zeta_t * wn, wn * wn, (i0, n_steps))
     if not return_trace:
-        del z_blocks  # and with it the tables, before the audit's buffers
+        del z_blocks  # and R_j and q^j with it, before the audit's buffers; E stays (_powers)
     x_z, x_v = step[5]
     z_amp = abs(x_z)
     # in Python floats, a transient past the float range reads inf, with no numpy warning

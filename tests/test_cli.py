@@ -790,6 +790,24 @@ def test_console_script_is_the_process_entry_and_main_leaves_gc_alone():
     assert gc.get_freeze_count() == frozen
 
 
+@pytest.mark.parametrize("read", [
+    "eh.load_catalog()",
+    "eh.SweepCurve.from_csv('frequency.csv', 1.0)",
+    "eh.LoadSweep.from_csv('load.csv')",
+])
+def test_bundled_catalog_and_measurement_csvs_are_read_as_utf8(tmp_path, read):
+    # --config and --out are UTF-8 whatever the locale; so are the bundled catalog and
+    # the CSV readers, which a locale-encoding open makes raise under these flags
+    for kind in ("frequency", "load"):
+        assert main(["sweep", "--scenario", "cantilever_nominal", "--kind", kind,
+                     "--out", str(tmp_path / f"{kind}.csv")]) == 0
+    run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-c", f"import emharvest as eh; {read}"],
+                         capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+                         timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def _reference_csv(names, columns):
     """The CSV text of a row-at-a-time writer: the header, every row with one
     _NUM per value, one newline after each line."""

@@ -1071,6 +1071,35 @@ class TestFrequencySweep:
         assert s_sweep.z_amp_m == s_direct.z_amp_m
         assert s_sweep.phase_rad == s_direct.phase_rad
 
+    def test_points_at_and_below_resonance_share_one_power_table(self, monkeypatch):
+        # suggest's dt follows max(w, w_n) and zeta_t does not follow w (L = 0), so
+        # the 9 points at or below w_n have one step matrix; the 8 above, one each
+        g = make_gen(zeta_p=0.02)
+        wn = natural_frequency(g)
+        omegas = [wn * (1.0 + 0.05 * (j - 8) / 8) for j in range(17)]
+        assert omegas[8] == wn
+        tables, seen = sim._tables, []
+        monkeypatch.setattr(sim, "_tables", lambda *a: seen.append(tables(*a)) or seen[-1])
+        sim._powers.cache_clear()
+        shared = frequency_sweep_sim(g, live_coil(), omegas, 3.0)
+        info = sim._powers.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (9, 8, 1)
+        e00 = [z_row[0] for z_row, _, _ in seen]  # each point's E_j[0, 0], a view of E
+        assert len({id(e.base) for e in e00[:9]}) == 1
+        assert len({id(e.base) for e in e00[8:]}) == 9
+        with pytest.raises(ValueError):
+            e00[0][1] = 0.0  # shared, so read-only
+
+        def rebuilt(*args, **kwargs):
+            sim._powers.cache_clear()
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate", rebuilt)
+        alone = frequency_sweep_sim(g, live_coil(), omegas, 3.0)
+        assert sim._powers.cache_info().hits == 0
+        assert [[x.hex() for x in astuple(s)] for _, s in shared] == [
+            [x.hex() for x in astuple(s)] for _, s in alone]
+
     def test_open_circuit_is_keyword_only(self):
         # a fifth positional argument is refused: bound to open_circuit, a truthy
         # SimConfig would silently open the circuit
