@@ -48,7 +48,7 @@ __all__ = [
     "frequency_sweep_sim",
 ]
 
-# resolution floor for the faster of the drive and natural periods, and suggest's where Q_T
+# simulate's floor of steps per drive and per natural period, and suggest's n where Q_T
 # asks for no more (64: at 50, a Q_T = 50 resonant run's energy residual is 1.46e-5)
 _MIN_STEPS_PER_PERIOD = 50
 _STEPS_PER_PERIOD = 64
@@ -129,12 +129,13 @@ class SimConfig:
     ) -> "SimConfig":
         """Pick a step and duration suited to the device and drive frequency.
 
-        The step resolves the faster of the drive and natural periods with 64 steps
-        (_STEPS_PER_PERIOD), or more where Q_T = 1/(2 zeta_t) needs them: n >= 2 pi
-        (Q_T / 0.06)^(1/4) holds RK4's phase error 2 Q_T (w dt)^4 / 120 to 1e-3 rad (more
-        than 64 steps above Q_T ~ 645).  Not simulate's 50-step floor: at 50 a Q_T = 50
-        resonant run's energy residual is 1.46e-5, not 3.78e-6, over the 1e-5 it is tested
-        to.  The duration is _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n)
+        The step is a whole number N = max(n, ceil(n w / w_n)) of steps per natural period:
+        n at or below w_n, and at least n per drive period above it, so sweep points with
+        one N share one step matrix (_powers).  n is 64 (_STEPS_PER_PERIOD), or more where
+        Q_T = 1/(2 zeta_t) needs them: n >= 2 pi (Q_T / 0.06)^(1/4) holds RK4's phase error
+        2 Q_T (w dt)^4 / 120 to 1e-3 rad (over 64 above Q_T ~ 645).  At simulate's 50-step floor a
+        Q_T = 50 resonant run's energy residual is 1.46e-5, not 3.78e-6, over its tested 1e-5.
+        The duration is _SETTLE_TIME_CONSTANTS = 10 damping time constants 1/(zeta_t*w_n)
         alone, which leave a start-up transient under _SETTLE_LIMIT / 10 at the window start.
         """
         _check_magnitudes((("omega_rad_per_s", omega_rad_per_s),))
@@ -143,7 +144,10 @@ class SimConfig:
             raise ValueError("an undamped run never settles; zeta_t must be > 0")
         # 2 pi (Q_T / (60 phi))^(1/4), written in zeta_t so that it cannot overflow
         n_q = math.ceil(2.0 * math.pi / (120.0 * _PHASE_BOUND_RAD) ** 0.25 / zeta_t ** 0.25)
-        dt = 2.0 * math.pi / max(omega_rad_per_s, wn) / max(_STEPS_PER_PERIOD, n_q)
+        n = max(_STEPS_PER_PERIOD, n_q)
+        per_wn = n * (omega_rad_per_s / wn)  # w / w_n first: n w / w_n rounds 127 up to 128
+        dt = (2.0 * math.pi / wn / max(n, math.ceil(per_wn)) if per_wn < math.inf
+              else 2.0 * math.pi / omega_rad_per_s / n)  # w / w_n overflows: past the ceiling
         duration = _SETTLE_TIME_CONSTANTS / (zeta_t * wn)
         if duration / dt > _MAX_STEPS:
             raise ValueError(
@@ -262,8 +266,8 @@ def _state(row: tuple, r: int, x: tuple, q: complex, j) -> np.ndarray:
 def _powers(e1: tuple, top: int) -> np.ndarray:
     """E_j = P^j - I (read-only, [:, :, j], j <= top) from E_1 = e1, by doubling:
     E_(m+j) = E_m + E_j + E_m E_j.  It depends on the step matrix alone, so a sweep's
-    points at or below w_n share one (suggest's dt follows max(w, w_n), and zeta_t
-    does not follow w when L = 0)."""
+    points with one suggested step count N per natural period share one (N is n at or
+    below w_n; zeta_t does not follow w when L = 0)."""
     et = np.zeros((2, 2, top + 1))
     et[:, :, 1], m = e1, 1
     while m < top:

@@ -74,8 +74,8 @@ class TestSimConfig:
         g = make_gen(wn=2.0 * math.pi * 100.0)
         for w_drive in (2.0 * math.pi * 25.0, 2.0 * math.pi * 400.0):
             cfg = SimConfig.suggest(g, dead_coil(), w_drive)
-            assert cfg.dt_s <= 2.0 * math.pi / w_drive / 50.0
-            assert cfg.dt_s <= 2.0 * math.pi / natural_frequency(g) / 50.0
+            assert cfg.dt_s <= 2.0 * math.pi / w_drive / 64.0
+            assert cfg.dt_s <= 2.0 * math.pi / natural_frequency(g) / 64.0
 
     def test_suggest_duration_covers_settling(self):
         # 10 damping time constants of the zeta_t simulate reads on this run
@@ -127,6 +127,34 @@ class TestSimConfig:
                                              r"steps, over the 20000000-step ceiling; "
                                              r"set dt_s and duration_s in the catalog$"):
             SimConfig.suggest(make_gen(wn=wn, zeta_p=0.5 / 3.6e4), dead_coil(), wn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.2, 3000.0), st.booleans(), st.floats(0.5, 2.0))
+    def test_suggest_takes_whole_steps_per_natural_period(self, q_t, loaded, ratio):
+        # N = 2 pi / w_n / dt is whole, with at least the n steps of a resonant run
+        # per drive period and at most one more per natural period; at or below w_n
+        # the step is the drive-or-natural-period rule's, bit for bit
+        g, c = q_design(q_t, loaded)
+        wn = natural_frequency(g)
+        w = ratio * wn
+        n = round(2.0 * math.pi / wn / SimConfig.suggest(g, c, wn).dt_s)
+        assert n >= 64
+        dt = SimConfig.suggest(g, c, w).dt_s
+        steps = 2.0 * math.pi / wn / dt
+        assert abs(steps - round(steps)) <= 1e-12 * steps
+        assert 2.0 * math.pi / w / dt >= n * (1.0 - 1e-12)
+        assert round(steps) <= n * max(w / wn, 1.0) + 1.0
+        if w <= wn:
+            assert dt.hex() == (2.0 * math.pi / max(w, wn) / n).hex()
+
+    def test_suggest_past_the_float_range_names_its_ceiling(self):
+        # w / w_n = 1e450 overflows: the run is past the step ceiling, named as such,
+        # and no OverflowError escapes from rounding its steps per natural period
+        g = GeneratorParams(1.0, 1e-300, 0.01)
+        with pytest.raises(ValueError, match=r"^the suggested run for Q_T=50 takes inf steps, "
+                                             r"over the 20000000-step ceiling; "
+                                             r"set dt_s and duration_s in the catalog$"):
+            SimConfig.suggest(g, dead_coil(), 1e300)
 
     # constructed only: a run this long would hold ~21 bytes per step (~41 with a trace)
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
@@ -1072,21 +1100,28 @@ class TestFrequencySweep:
         assert s_sweep.phase_rad == s_direct.phase_rad
 
     def test_points_at_and_below_resonance_share_one_power_table(self, monkeypatch):
-        # suggest's dt follows max(w, w_n) and zeta_t does not follow w (L = 0), so
-        # the 9 points at or below w_n have one step matrix; the 8 above, one each
+        # suggest takes a whole N steps per natural period, n at or below w_n and
+        # ceil(n w / w_n) above, and zeta_t does not follow w (L = 0): the 9 points at
+        # or below w_n have one step matrix, and the 8 above one per N
         g = make_gen(zeta_p=0.02)
         wn = natural_frequency(g)
         omegas = [wn * (1.0 + 0.05 * (j - 8) / 8) for j in range(17)]
         assert omegas[8] == wn
+        counts = [round(2.0 * math.pi / wn / SimConfig.suggest(g, live_coil(), w).dt_s)
+                  for w in omegas]
+        assert counts == [64] * 9 + [65, 65, 66, 66, 66, 67, 67, 68]
         tables, seen = sim._tables, []
         monkeypatch.setattr(sim, "_tables", lambda *a: seen.append(tables(*a)) or seen[-1])
         sim._powers.cache_clear()
         shared = frequency_sweep_sim(g, live_coil(), omegas, 3.0)
         info = sim._powers.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (9, 8, 1)
+        assert (info.misses, info.hits, info.currsize) == (5, 12, 1)
         e00 = [z_row[0] for z_row, _, _ in seen]  # each point's E_j[0, 0], a view of E
-        assert len({id(e.base) for e in e00[:9]}) == 1
-        assert len({id(e.base) for e in e00[8:]}) == 9
+        bases = {}
+        for n, e in zip(counts, e00):
+            bases.setdefault(n, set()).add(id(e.base))
+        assert list(map(len, bases.values())) == [1] * 5  # one E per N ...
+        assert len(set().union(*bases.values())) == 5  # ... and a new one for each
         with pytest.raises(ValueError):
             e00[0][1] = 0.0  # shared, so read-only
 
